@@ -6,7 +6,6 @@ from .core import (
     Message,
     NodePlacement,
     Scenario,
-    cycle_length,
     delay_offset,
     is_working,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "build_topology",
     "closed_form_latency",
     "compute_cdf",
-    "cycle_length",
     "delay_offset",
     "expected_scan_latency",
     "generate_scenario",

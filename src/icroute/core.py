@@ -35,10 +35,6 @@ class ChargingSpec:
         return self.charge_slots + 1
 
 
-def cycle_length(spec: ChargingSpec) -> int:
-    return spec.cycle
-
-
 def is_working(offset: int, spec: ChargingSpec, now: int) -> bool:
     """True when a node with the given offset is awake in slot `now`."""
     if not 0 <= offset <= spec.charge_slots:

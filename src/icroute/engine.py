@@ -25,7 +25,7 @@ import heapq
 from dataclasses import dataclass, field
 
 from .core import SINK, Scenario
-from .radio import COLLISION, RadioConfig, derive_rng_stream, resolve_slot
+from .radio import COLLISION, MICRO_SLOTS, derive_rng_stream, resolve_slot
 
 
 class Countdown:
@@ -46,11 +46,10 @@ class RunResult:
 
 
 class Engine:
-    def __init__(self, scenario: Scenario, behaviors, sink, radio=None, trace=None):
+    def __init__(self, scenario: Scenario, behaviors, sink, trace=None):
         self.scenario = scenario
         self.behaviors = behaviors  # node id -> behavior
         self.sink = sink
-        self.radio = radio or RadioConfig()
         self.trace = trace
         self.positions = scenario.positions()
         self._jitter = {
@@ -69,7 +68,7 @@ class Engine:
         return died is None or slot < died
 
     def _draw_jitter(self, nid):
-        return self._jitter[nid].randrange(self.radio.micro_slots)
+        return self._jitter[nid].randrange(MICRO_SLOTS)
 
     def run(self, max_slots: int, quiesced=None) -> RunResult:
         """Advance until `quiesced()` holds or `max_slots` is exceeded."""

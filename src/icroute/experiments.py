@@ -19,10 +19,10 @@ from dataclasses import asdict, dataclass
 
 from .baselines import STRATEGIES, build_policies
 from .core import NO_HOP, SINK, ChargingSpec, NodePlacement, Scenario
-from .forwarding import ForwardingParams, ForwardResult, run_forwarding
+from .forwarding import ForwardResult, message_slot, run_forwarding
 from .radio import EventTrace, derive_rng_stream, within_range
 from .sync import expected_scan_latency
-from .topology import TopoConfig, TopoResult, bfs_hops, build_topology
+from .topology import TopoResult, bfs_hops, build_topology
 
 SHAPES = {"square": (45.0, 45.0), "rectangle": (40.0, 80.0)}
 RADIO_RANGE_M = 10.0
@@ -121,17 +121,6 @@ def _mean_degree(scenario: Scenario) -> float:
     return 2.0 * total / len(ids) if ids else 0.0
 
 
-def message_workload(scenario: Scenario, rounds: int) -> dict:
-    """Scheduled creation slots per node: one message per cycle."""
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
-    cycle = scenario.spec.cycle
-    return {
-        p.node_id: [p.offset + k * cycle for k in range(rounds)]
-        for p in scenario.nodes
-    }
-
-
 def compute_cdf(delivery_times: list, created: int | None = None) -> list:
     """Empirical CDF as (latency, cumulative fraction) steps.
 
@@ -178,7 +167,7 @@ class ExperimentResult:
         """One row per created message, censored ones with blank tails."""
         by_key = {(d.origin, d.seq): d for d in self.forward.deliveries}
         offsets = self.scenario.offsets()
-        cycle = self.scenario.spec.cycle
+        spec = self.scenario.spec
         rows = []
         for nid in sorted(self.forward.generated_per_node):
             for k in range(self.forward.generated_per_node[nid]):
@@ -186,7 +175,7 @@ class ExperimentResult:
                 rows.append([
                     f"{nid}-{k}",
                     nid,
-                    offsets[nid] + k * cycle,
+                    message_slot(offsets[nid], k, spec),
                     d.delivered_at if d else "",
                     d.hops if d else "",
                 ])
@@ -258,13 +247,8 @@ class ExperimentResult:
             json.dumps(self.topo.to_dict(), indent=2, sort_keys=True) + "\n"))
 
         if self.trace is not None:
-            lines = [
-                json.dumps({"slot": e.slot, "node": e.node, "kind": e.kind,
-                            **e.detail}, sort_keys=True)
-                for e in self.trace.events
-            ]
             paths.append(_atomic_write(os.path.join(run_dir, "trace.ndjson"),
-                                       "\n".join(lines) + ("\n" if lines else "")))
+                                       self.trace.ndjson()))
         return paths
 
 
@@ -285,8 +269,6 @@ def _atomic_write(path: str, text: str) -> str:
 def run_experiment(config: ExperimentConfig,
                    scenario: Scenario | None = None,
                    topo: TopoResult | None = None,
-                   params: ForwardingParams | None = None,
-                   topo_cfg: TopoConfig | None = None,
                    trace: bool = False) -> ExperimentResult:
     """One full two-phase run.
 
@@ -296,12 +278,11 @@ def run_experiment(config: ExperimentConfig,
     if scenario is None:
         scenario = generate_scenario(config)
     if topo is None:
-        topo = build_topology(scenario, topo_cfg)
+        topo = build_topology(scenario)
     event_log = EventTrace() if trace else None
     policies = build_policies(config.strategy, scenario, topo)
     forward = run_forwarding(
         scenario, topo.hops, rounds=config.rounds,
-        params=params or ForwardingParams(),
         policies=policies, trace=event_log,
     )
     return ExperimentResult(config=config, scenario=scenario, topo=topo,

@@ -46,18 +46,21 @@ class ForwardingParams:
         return spec.cycle if self.recovery_slack is None else self.recovery_slack
 
 
-def swing(base: int, amount: int, spec: ChargingSpec, direction: str = "forth") -> int:
-    """Working offset after swinging by a cached amount, forth or back."""
-    if not 0 <= base <= spec.charge_slots:
-        raise ValueError(f"base offset {base} outside [0, {spec.charge_slots}]")
-    if not 0 <= amount <= spec.cycle:
-        raise ValueError(f"swing amount {amount} outside [0, {spec.cycle}]")
-    forth = (base + amount) % spec.cycle
-    if direction == "forth":
-        return forth
-    if direction == "back":
-        return (forth + (spec.cycle - amount)) % spec.cycle
-    raise ValueError(f"unknown swing direction {direction!r}")
+def swing_back(amount: int, spec: ChargingSpec) -> int:
+    """Extra delay that returns a node swung `amount` slots forth to its base.
+
+    A node can only postpone its working slot, so the way back is the
+    rest of the cycle.
+    """
+    if amount < 0:
+        raise ValueError(f"swing amount {amount} is negative")
+    return -amount % spec.cycle
+
+
+def message_slot(offset: int, seq: int, spec: ChargingSpec) -> int:
+    """Slot at which a node with working offset `offset` senses message
+    `seq`: one message per cycle, on its working slot."""
+    return offset + seq * spec.cycle
 
 
 def failure_recovery_wait(spec: ChargingSpec, params: ForwardingParams) -> int:
@@ -165,8 +168,6 @@ class ForwardNode:
         self.offset_cache = 0
         self.send_attempts = 0
         self.offset_forth = 0
-        self.offset_back = 0
-        self.batch_snapshot = 0
         self.scan_target = None
         self._batch_acked = False
         self._in_flight = None
@@ -199,8 +200,6 @@ class ForwardNode:
         if self.state == "scan":
             self.send_attempts += 1
             self.offset_forth += 1
-            self.offset_back = self.cycle - self.offset_forth
-            self.batch_snapshot = len(self.queue)
             self.scan_attempt_slots.append(slot)
         msg = self.queue.popleft()
         self._in_flight = msg
@@ -286,7 +285,7 @@ class ForwardNode:
         # materialize scheduled readings up to now; a full queue defers
         # them (created_at keeps the scheduled slot either way)
         while self.generated < self.rounds:
-            due = self.base + self.generated * self.cycle
+            due = message_slot(self.base, self.generated, self.spec)
             if due > slot or len(self.queue) >= self.params.queue_cap:
                 break
             self.queue.append(Message(
@@ -342,7 +341,6 @@ class ForwardNode:
         self.scan_target = self.policy.scan_target(self)
         self.send_attempts = 0
         self.offset_forth = 0
-        self.offset_back = 0
         self.next_wake = slot + self.cycle + 1  # first try one slot late
 
     def _finish_scan(self, slot):
@@ -350,9 +348,8 @@ class ForwardNode:
             # nothing flew: either the scan is exhausted or the queue
             # drained; swing back to the base offset
             self.state = "recv"
-            back = (self.cycle - self.offset_forth % self.cycle) % self.cycle
             self.send_attempts = 0
-            self.next_wake = slot + self.cycle + back
+            self.next_wake = slot + self.cycle + swing_back(self.offset_forth, self.spec)
             return
         if self._got_ack:
             self._settle_match(slot)
@@ -365,9 +362,8 @@ class ForwardNode:
         if self.send_attempts >= self.cycle:
             # full circle, nobody answered; swing back and listen a while
             self.state = "recv"
-            back = (self.cycle - self.offset_forth % self.cycle) % self.cycle
             self.send_attempts = 0
-            self.next_wake = slot + self.cycle + back
+            self.next_wake = slot + self.cycle + swing_back(self.offset_forth, self.spec)
             self.policy.on_scan_exhausted(self)
         else:
             self.next_wake = slot + self.cycle + 1
@@ -397,7 +393,6 @@ class ForwardNode:
         self.scan_target = self.policy.scan_target(self)
         self.send_attempts = 0
         self.offset_forth = displacement
-        self.offset_back = (self.cycle - displacement) % self.cycle
         self._batch_acked = False
         self.next_wake = slot + self.cycle + 1
 
@@ -405,8 +400,7 @@ class ForwardNode:
         if self._in_flight is None:
             # queue empty: the batch is done, swing back to base
             self.state = "recv"
-            back = (self.cycle - self.offset_cache) % self.cycle
-            self.next_wake = slot + self.cycle + back
+            self.next_wake = slot + self.cycle + swing_back(self.offset_cache, self.spec)
             self.policy.after_batch(self)
             return
         if self._got_ack:
@@ -428,9 +422,8 @@ class ForwardNode:
     def _matched_failure(self, slot):
         self.failures += 1
         wait = self.policy.failure_wait(self)
-        back = (self.cycle - self.offset_cache) % self.cycle
+        self.next_wake = slot + self.cycle + swing_back(self.offset_cache, self.spec)
         self.clear_match()
-        self.next_wake = slot + self.cycle + back
         if wait > 0:
             self.state = "hold"
             self._hold_until = slot + wait

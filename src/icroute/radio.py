@@ -1,6 +1,6 @@
 """Unit-disk propagation, sub-slot jitter arbitration, and seeded RNG streams.
 
-Every transmission in a slot carries a jitter drawn from [0, micro_slots).
+Every transmission in a slot carries a jitter drawn from [0, MICRO_SLOTS).
 An awake listener decodes the in-range frame with the strictly smallest
 jitter; a shared minimum destroys all of them for that listener.  The rule
 is a pure function of its inputs, which keeps whole runs reproducible.
@@ -15,15 +15,7 @@ import random
 from dataclasses import dataclass, field
 
 COLLISION = object()  # decode result marker: energy heard, nothing decoded
-
-
-@dataclass(frozen=True)
-class RadioConfig:
-    micro_slots: int = 16
-
-    def __post_init__(self):
-        if self.micro_slots < 2:
-            raise ValueError("micro_slots must be >= 2")
+MICRO_SLOTS = 16  # jitter values a transmission draws from
 
 
 def within_range(a: tuple[float, float], b: tuple[float, float], range_m: float) -> bool:
@@ -97,30 +89,18 @@ class TraceEvent:
 
 
 class EventTrace:
-    """Optional per-run event log, dumpable as NDJSON."""
+    """Optional per-run event log, serialized as NDJSON."""
 
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
+    def __init__(self):
         self.events: list[TraceEvent] = []
 
     def add(self, slot, node, kind, **detail):
-        if self.enabled:
-            self.events.append(TraceEvent(slot, node, kind, detail))
+        self.events.append(TraceEvent(slot, node, kind, detail))
 
-    def filter(self, kind=None, node=None):
-        return [
-            e
+    def ndjson(self) -> str:
+        """One JSON object per event and line, keys sorted."""
+        return "".join(
+            json.dumps({"slot": e.slot, "node": e.node, "kind": e.kind, **e.detail},
+                       sort_keys=True) + "\n"
             for e in self.events
-            if (kind is None or e.kind == kind) and (node is None or e.node == node)
-        ]
-
-    def dump_ndjson(self, path):
-        with open(path, "w") as fh:
-            for e in self.events:
-                fh.write(
-                    json.dumps(
-                        {"slot": e.slot, "node": e.node, "kind": e.kind, **e.detail},
-                        sort_keys=True,
-                    )
-                )
-                fh.write("\n")
+        )

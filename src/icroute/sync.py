@@ -3,8 +3,8 @@
 The sender delays its working slot by one position each cycle, so its
 offset walks through every value in [0, t] and is guaranteed to meet the
 receiver's within t+1 attempts.  `closed_form_latency` gives the exact
-slot of the first shared working slot on the cycle grid; the scan state
-object tracks a live scan attempt by attempt.
+slot of the first shared working slot on the cycle grid; `ForwardNode`
+in `forwarding` runs the scan live, attempt by attempt.
 
 A randomized variant (delay with probability p each cycle) is included
 as a comparison baseline.  It has no worst-case bound and a wider
@@ -13,38 +13,9 @@ latency spread, which is the point of the comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from statistics import fmean, pvariance
 
 from .core import ChargingSpec, delay_offset
-
-
-@dataclass(frozen=True)
-class SyncScanState:
-    origin_offset: int
-    current_offset: int
-    attempts: int = 0
-    matched: bool = False
-
-    @classmethod
-    def start(cls, offset: int) -> "SyncScanState":
-        return cls(origin_offset=offset, current_offset=offset)
-
-    def exhausted(self, spec: ChargingSpec) -> bool:
-        return not self.matched and self.attempts >= spec.cycle
-
-
-def scan_step(state: SyncScanState, decoded_ack: bool, spec: ChargingSpec) -> SyncScanState:
-    """Advance one cycle: freeze on an ack, otherwise delay by one slot."""
-    if state.matched:
-        raise ValueError("scan already matched")
-    if decoded_ack:
-        return replace(state, matched=True)
-    return replace(
-        state,
-        attempts=state.attempts + 1,
-        current_offset=delay_offset(state.current_offset, spec),
-    )
 
 
 def closed_form_latency(o_s: int, o_r: int, spec: ChargingSpec) -> int:

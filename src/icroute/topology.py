@@ -24,9 +24,8 @@ a neighbor that first hears a worse hop, from a node that anchored a
 relay after A, anchors no earlier than A + 2 relays, so it is still
 listening when the pass reaches it.  The extra round pays for moving
 an anchor up to a working offset.  Waiting out the sender's whole pass
-instead (`_enter_wait`) costs a full pass per hop; starting at once
-(wait_timer="slots") lets a child start before it has heard the lower
-hop it should adopt.
+instead costs a full pass per hop; starting at once lets a child start
+before it has heard the lower hop it should adopt.
 
 A node that hears its sender only after its own anchor joins its locked
 schedule late, at the first round still ahead, and wraps the rounds it
@@ -82,7 +81,7 @@ Two repair paths keep stragglers out of the steady state:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import NO_HOP, SINK, AckFrame, ChargingSpec, HopFrame, Scenario
 from .engine import Countdown, Engine, RunResult
@@ -93,21 +92,9 @@ from .radio import derive_rng_stream
 # (generated 40x80 m fields run 11-20 hops against an estimate of 9), so
 # a node waits out this many estimates of silence before it probes.
 DEPTH_SLACK = 2
-
-
-@dataclass(frozen=True)
-class TopoConfig:
-    # "relay": phase-locked lead pass from the sender's relay point;
-    # "slots": wait out the sender's remaining rounds as raw slots
-    wait_timer: str = "relay"
-    quiet_passes: int = 2
-    farewell_passes: int = 2  # lone post-cooldown passes that must stay quiet
-    probe_scans: int = 3  # full offset scans (each behind a fresh silence window)
-    max_hop: int | None = None  # None: derive from the area diagonal
-
-    def __post_init__(self):
-        if self.wait_timer not in ("relay", "slots"):
-            raise ValueError(f"unknown wait_timer {self.wait_timer!r}")
+QUIET_PASSES = 2  # passes without new ackers before a broadcaster cools down
+FAREWELL_PASSES = 2  # lone post-cooldown passes that must stay quiet
+PROBE_SCANS = 3  # full offset scans (each behind a fresh silence window)
 
 
 def max_hop_estimate(scenario: Scenario) -> int:
@@ -122,10 +109,8 @@ def probe_silence_window(scenario: Scenario, max_hop: int | None = None) -> int:
     return (t + 1) * (t + 2) * n
 
 
-def node_silence_window(scenario: Scenario, cfg: TopoConfig) -> int:
+def node_silence_window(scenario: Scenario) -> int:
     """Silence a node waits out before it probes."""
-    if cfg.max_hop is not None:
-        return probe_silence_window(scenario, cfg.max_hop)
     return probe_silence_window(scenario, DEPTH_SLACK * max_hop_estimate(scenario))
 
 
@@ -178,10 +163,9 @@ class TopoSink:
 class TopoNode:
     """Per-node state machine: listen, wait for the relay point, broadcast."""
 
-    def __init__(self, node_id, offset, spec, cfg, scenario, pending: Countdown):
+    def __init__(self, node_id, offset, spec, scenario, pending: Countdown):
         self.id = node_id
         self.spec = spec
-        self.cfg = cfg
         self.t = spec.charge_slots
         self.cycle = spec.cycle
         self.round_len = spec.cycle + 1  # slots per rotation round
@@ -195,15 +179,13 @@ class TopoNode:
         self.next_wake = offset
         self.last_update = -1
         self.last_heard = 0
-        self.silence_window = node_silence_window(scenario, cfg)
+        self.silence_window = node_silence_window(scenario)
         self.rng = derive_rng_stream(scenario.seed, node_id, "topo")
         self.pending = pending
         self.done = False
         pending.value += 1
-        # wait bookkeeping
-        self._bcast_start = None
+        # lead pass bookkeeping
         self._update_src = None
-        # lead pass bookkeeping (wait_timer "relay")
         self._anchor = None  # slot of locked round 0
         self._v0 = 0  # first locked round transmitted
         self._vround = 0  # locked round of the current transmission
@@ -217,7 +199,6 @@ class TopoNode:
         # broadcast bookkeeping
         self._round = 0
         self._tx_now = False
-        self._p_tx = 1.0
         self._pass_no = 0
         self._cur_ackers = set()
         self._all_ackers = set()
@@ -229,7 +210,6 @@ class TopoNode:
         self._probe_attempt = 0
         self._scans_used = 0
         self.unreachable = False
-        self.protocol_errors = 0
         # set in on_data/on_ack, consumed by finish
         self._update_round = None
 
@@ -244,10 +224,6 @@ class TopoNode:
 
     def _consider(self, slot, frame):
         """Apply a decoded hop frame; return an ack-phase response or None."""
-        if self.cfg.wait_timer == "slots" and not 0 <= frame.round_no <= self.t:
-            # relay stamps are signed round counts; pass rounds lie in 0..t
-            self.protocol_errors += 1
-            return None
         if frame.hop != NO_HOP:
             self.known_lower[frame.src] = frame.hop
             self.last_heard = slot
@@ -263,7 +239,7 @@ class TopoNode:
             return AckFrame(src=self.id, ack_dst=frame.src)
         if self.hop != NO_HOP and frame.hop > self.hop + 1:
             # struggler (or probe): answer with our own state
-            return HopFrame(src=self.id, hop=self.hop, round_no=self._stamp(slot, self.t))
+            return HopFrame(src=self.id, hop=self.hop, round_no=self._stamp(slot))
         return None
 
     # -- engine hooks --------------------------------------------------
@@ -272,9 +248,9 @@ class TopoNode:
         if self.state == "lead" and slot == self._tx_slot:
             return HopFrame(src=self.id, hop=self.hop, round_no=self._vround)
         if self.state == "lead_wait" and self._calls and self._calls[0] == (slot, True):
-            return HopFrame(src=self.id, hop=self.hop, round_no=self._stamp(slot, 0))
+            return HopFrame(src=self.id, hop=self.hop, round_no=self._stamp(slot))
         if self.state == "bcast" and self._tx_now:
-            return HopFrame(src=self.id, hop=self.hop, round_no=self._stamp(slot, self._round))
+            return HopFrame(src=self.id, hop=self.hop, round_no=self._stamp(slot))
         if self.state == "probe":
             self.probes_used += 1
             return HopFrame(src=self.id, hop=NO_HOP, round_no=self.t)
@@ -312,10 +288,7 @@ class TopoNode:
 
     def finish(self, slot):
         if self._update_round is not None:
-            if self.cfg.wait_timer == "relay":
-                self._enter_lead(slot, self._update_round, self._update_src)
-            else:
-                self._enter_wait(slot, self._update_round)
+            self._enter_lead(slot, self._update_round, self._update_src)
             self._update_round = None
             return
         if self.state == "lead_wait":
@@ -333,11 +306,6 @@ class TopoNode:
         if self.state == "bcast":
             self._advance_pass(slot)
             return
-        if self.state == "wait":
-            self.next_wake = slot + self.cycle
-            if self.next_wake == self._bcast_start:
-                self._enter_bcast()
-            return
         if self.state == "probe":
             self._advance_probe(slot)
             return
@@ -346,9 +314,8 @@ class TopoNode:
                 # the channel has stayed quiet: run a farewell pass from
                 # a re-randomized rotation start
                 rho = self.rng.randrange(self.cycle)
-                self._bcast_start = slot + self.cycle + 1 + rho
-                self.next_wake = self._bcast_start
-                self._enter_bcast(p_tx=0.5)
+                self.next_wake = slot + self.cycle + 1 + rho
+                self._enter_bcast()
                 self._lone_pass = True
             else:
                 self.next_wake = slot + self.cycle
@@ -357,7 +324,7 @@ class TopoNode:
             if slot >= self._verify_until:
                 # the farewell ran and the channel stayed silent around it
                 self._farewells += 1
-                if self._farewells >= self.cfg.farewell_passes:
+                if self._farewells >= FAREWELL_PASSES:
                     self.state = "listen"
                     self._set_done(True)
                     self.next_wake = slot + self.cycle
@@ -372,15 +339,13 @@ class TopoNode:
 
     # -- transitions ---------------------------------------------------
 
-    def _stamp(self, slot, fallback):
+    def _stamp(self, slot):
         """Locked rounds since our anchor (negative before it).
 
         A listener puts our anchor at slot - stamp * round_len, within a
-        round of the true one.  Without an anchor (wait_timer "slots") the
-        frame carries `fallback`, a pass round.
+        round of the true one.  Every node that sends a hop frame has
+        anchored a lead pass (`_enter_lead`).
         """
-        if self._anchor is None:
-            return fallback
         return (slot - self._anchor) // self.round_len
 
     def _relay_anchor(self, slot, round_no):
@@ -475,7 +440,6 @@ class TopoNode:
             self._pass_no += 1
             self._cur_ackers = set()
             self._lone_pass = False
-            self._p_tx = 1.0
 
     def _lead_plan(self, anchor, v0):
         """Schedule of a lead pass anchored at `anchor` that joins at round v0.
@@ -518,45 +482,18 @@ class TopoNode:
         self._tx_slot = None
         self.state = "lead_hold"
 
-    def _enter_wait(self, slot, round_no):
-        """Schedule a first pass that waits out the sender's rounds left.
-
-        The t - round_no rounds the sender has left are counted as raw
-        slots under wait_timer "slots", so the node starts on its next
-        working slot, and otherwise as whole cycles, which ends the wait
-        with the sender's pass.  The node transmits on the first working
-        slot past the timer.  Only "slots" enters here from `finish`; the
-        "relay" rule anchors a phase-locked lead pass instead (see
-        `_enter_lead`).
-        """
-        remaining = self.t - round_no
-        if self.cfg.wait_timer == "slots":
-            wait = remaining
-        else:
-            wait = remaining * self.cycle
-        expiry = slot + max(wait, 1)
-        # first transmission lands on the first working slot past the timer
-        self._bcast_start = slot + self.cycle * math.ceil((expiry - slot) / self.cycle)
-        self.state = "wait"
-        self._pass_no = 0
-        self._quiet_streak = 0
-        self._all_ackers = set()
-        self._farewells = 0
-        self.next_wake = slot + self.cycle
-        if self.next_wake == self._bcast_start:
-            self._enter_bcast()
-
-    def _enter_bcast(self, p_tx=1.0):
+    def _enter_bcast(self):
+        """Start a retry or farewell pass (see the module docstring)."""
         self.state = "bcast"
         self._round = 0
         self._pass_no += 1
         self._cur_ackers = set()
         self._lone_pass = False
-        self._p_tx = p_tx
         self._tx_now = True  # the first slot of a pass always transmits
 
     def _coin(self):
-        return self._p_tx >= 1.0 or self.rng.random() < self._p_tx
+        # transmit here and step the rotation, or listen and stay
+        return self.rng.random() < 0.5
 
     def _advance_pass(self, slot):
         if not self._tx_now:
@@ -590,15 +527,14 @@ class TopoNode:
             self._verify_until = slot + (self.t + 1) * self.cycle
             self.next_wake = slot + self.cycle + 1
             return
-        if not new and self._quiet_streak >= self.cfg.quiet_passes:
+        if not new and self._quiet_streak >= QUIET_PASSES:
             # ackers have dried up: cooldown, then prove it with farewells
             self._enter_cooldown(slot)
             return
         # more work to do: another pass from a re-randomized rotation start
         rho = self.rng.randrange(self.cycle)
-        self._bcast_start = slot + self.cycle + 1 + rho
-        self.next_wake = self._bcast_start
-        self._enter_bcast(p_tx=0.5)
+        self.next_wake = slot + self.cycle + 1 + rho
+        self._enter_bcast()
 
     def _enter_cooldown(self, slot):
         gap = self.rng.randrange(self.t + 1, 2 * self.t + 3)  # in cycles
@@ -624,7 +560,7 @@ class TopoNode:
         # one full scan came back empty
         self._scans_used += 1
         self.state = "listen"
-        if self._scans_used >= self.cfg.probe_scans:
+        if self._scans_used >= PROBE_SCANS:
             self.unreachable = True
             self._set_done(True)
         else:
@@ -632,24 +568,23 @@ class TopoNode:
         self.next_wake = slot + self.cycle + 1
 
 
-def build_topology(scenario: Scenario, cfg: TopoConfig | None = None,
-                   max_slots: int | None = None, trace=None) -> TopoResult:
-    cfg = cfg or TopoConfig()
+def build_topology(scenario: Scenario, max_slots: int | None = None,
+                   trace=None) -> TopoResult:
     pending = Countdown()
     nodes = {
-        p.node_id: TopoNode(p.node_id, p.offset, scenario.spec, cfg, scenario, pending)
+        p.node_id: TopoNode(p.node_id, p.offset, scenario.spec, scenario, pending)
         for p in scenario.nodes
     }
     sink = TopoSink(scenario.spec)
     if max_slots is None:
         t = scenario.spec.charge_slots
-        window = node_silence_window(scenario, cfg)
+        window = node_silence_window(scenario)
         # probe scans, passes, and the worst case where every farewell
         # (cooldown, randomized pass, verify window) serializes behind
         # its neighbors' quiet requirements
-        max_slots = (cfg.probe_scans + 1) * window \
-            + (cfg.probe_scans + 4) * (t + 1) * (t + 2) \
-            + len(scenario.nodes) * cfg.farewell_passes * 6 * (t + 1) * (t + 1)
+        max_slots = (PROBE_SCANS + 1) * window \
+            + (PROBE_SCANS + 4) * (t + 1) * (t + 2) \
+            + len(scenario.nodes) * FAREWELL_PASSES * 6 * (t + 1) * (t + 1)
     engine = Engine(scenario, nodes, sink, trace=trace)
     run = engine.run(max_slots, quiesced=lambda: pending.value == 0)
     topo_time = max((n.last_update for n in nodes.values()), default=-1)

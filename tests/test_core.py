@@ -6,16 +6,15 @@ from icroute.core import (
     Message,
     NodePlacement,
     Scenario,
-    cycle_length,
     delay_offset,
     is_working,
 )
 
 
-def test_cycle_length_counts_work_slot():
-    assert cycle_length(ChargingSpec(1)) == 2
-    assert cycle_length(ChargingSpec(50)) == 51
-    assert cycle_length(ChargingSpec(500)) == 501
+def test_cycle_counts_work_slot():
+    assert ChargingSpec(1).cycle == 2
+    assert ChargingSpec(50).cycle == 51
+    assert ChargingSpec(500).cycle == 501
 
 
 def test_charge_slots_must_be_positive():

@@ -12,7 +12,6 @@ from icroute.experiments import (
     SparseAreaError,
     compute_cdf,
     generate_scenario,
-    message_workload,
     quantile,
     run_experiment,
 )
@@ -64,12 +63,17 @@ def test_hopeless_density_raises_with_diagnostics():
 
 
 def test_workload_schedules_one_message_per_cycle():
-    sc = generate_scenario(SMALL)
-    sched = message_workload(sc, rounds=2)
-    assert sum(len(v) for v in sched.values()) == 100
-    offsets = sc.offsets()
-    for nid, slots in sched.items():
-        assert slots == [offsets[nid], offsets[nid] + 6]
+    cfg = ExperimentConfig(shape="square", n_nodes=50, t=5, rounds=2, seed=11)
+    res = run_experiment(cfg)
+    rows = res.message_rows()
+    assert len(rows) == 100
+    offsets = res.scenario.offsets()
+    created = {(d.origin, d.seq): d.created_at for d in res.forward.deliveries}
+    for msg_id, nid, created_slot, _, _ in rows:
+        seq = int(msg_id.rsplit("-", 1)[1])
+        assert created_slot == offsets[nid] + 6 * seq
+        # the node stamped the same slot when it sensed the message
+        assert created.get((nid, seq), created_slot) == created_slot
 
 
 def test_cdf_hand_cases():

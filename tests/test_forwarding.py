@@ -4,7 +4,15 @@ end-to-end runs on small lines."""
 
 import pytest
 
-from icroute.core import AckFrame, ChargingSpec, DataFrame, Message, NodePlacement, Scenario
+from icroute.core import (
+    AckFrame,
+    ChargingSpec,
+    DataFrame,
+    Message,
+    NodePlacement,
+    Scenario,
+    delay_offset,
+)
 from icroute.engine import Countdown
 from icroute.forwarding import (
     CachedPolicy,
@@ -12,7 +20,7 @@ from icroute.forwarding import (
     ForwardingParams,
     failure_recovery_wait,
     run_forwarding,
-    swing,
+    swing_back,
 )
 from icroute.topology import build_topology
 
@@ -66,20 +74,17 @@ def test_swing_forth_then_back_is_identity():
     for t in SWING_T:
         spec = make_spec(t)
         for base in range(t + 1):
-            for amount in range(spec.cycle + 1):
-                forth = swing(base, amount, spec)
-                assert forth == (base + amount) % spec.cycle
-                assert swing(base, amount, spec, "back") == base % spec.cycle
+            # a rescan can swing more than a cycle forth before it swings back
+            for amount in range(2 * spec.cycle + 1):
+                forth = delay_offset(base, spec, amount)
+                back = swing_back(amount, spec)
+                assert 0 <= back < spec.cycle
+                assert delay_offset(forth, spec, back) == base
 
 
 def test_swing_rejects_bad_inputs():
-    spec = make_spec(5)
     with pytest.raises(ValueError):
-        swing(-1, 0, spec)
-    with pytest.raises(ValueError):
-        swing(0, spec.cycle + 1, spec)
-    with pytest.raises(ValueError):
-        swing(0, 0, spec, "sideways")
+        swing_back(-1, make_spec(5))
 
 
 def test_failure_recovery_wait_values():
@@ -105,7 +110,7 @@ def test_scan_attempt_slots_walk_one_ahead_each_cycle():
     assert [s for s, _ in sent] == [15, 22]
     assert node.send_attempts == 2
     assert node.offset_forth == 2
-    assert node.offset_back == 4
+    assert swing_back(node.offset_forth, node.spec) == 4
 
 
 def test_match_at_third_attempt_sends_batch_on_consecutive_cycles():

@@ -3,7 +3,6 @@ import itertools
 from icroute.core import HopFrame, SINK
 from icroute.radio import (
     COLLISION,
-    RadioConfig,
     derive_rng_stream,
     resolve_slot,
     within_range,
@@ -70,13 +69,6 @@ def test_resolution_is_permutation_invariant():
     for perm in itertools.permutations(txs):
         out = resolve_slot(list(perm), [SINK], POS, range_m=50.0)
         assert out == base
-
-
-def test_radio_config_validates():
-    import pytest
-
-    with pytest.raises(ValueError):
-        RadioConfig(micro_slots=1)
 
 
 def test_rng_streams_are_stable_and_distinct():

@@ -4,9 +4,10 @@ import random
 
 import pytest
 
-from icroute.core import ChargingSpec
+from icroute.core import AckFrame, ChargingSpec, NodePlacement, Scenario
+from icroute.engine import Countdown
+from icroute.forwarding import CachedPolicy, ForwardingParams, ForwardNode
 from icroute.sync import (
-    SyncScanState,
     alignment_cycles,
     closed_form_latency,
     expected_scan_latency,
@@ -15,7 +16,6 @@ from icroute.sync import (
     geometric_latency,
     mean_scan_latency,
     sample_latencies,
-    scan_step,
 )
 
 EXHAUSTIVE_T = range(1, 51)
@@ -98,43 +98,57 @@ def test_offset_validation():
         closed_form_latency(0, -1, spec)
 
 
+def lone_sender(t, offset):
+    """A forwarding node with one message to send and a scan to run."""
+    spec = ChargingSpec(t)
+    placement = NodePlacement(node_id=1, x=0.0, y=0.0, offset=offset)
+    scenario = Scenario(spec=spec, nodes=[placement], sink_xy=(0.0, 0.0),
+                        range_m=1.0, width=1.0, height=1.0)
+    return ForwardNode(placement, spec, ForwardingParams(), scenario,
+                       CachedPolicy(), hop=1, rounds=1, pending=Countdown(1))
+
+
+def run_scan(node, ack_attempt=None):
+    """Wake the node until its first scan ends; ack the chosen attempt.
+
+    Returns the scan's attempt slots.
+    """
+    while node.state != "scan":
+        node.finish(node.next_wake)
+    while node.state == "scan":
+        slot = node.next_wake
+        if node.poll(slot) is not None and node.send_attempts == ack_attempt:
+            node.on_ack(slot, AckFrame(src=0, ack_dst=node.id))
+        node.finish(slot)
+    return node.scan_attempt_slots
+
+
 def test_scan_state_walks_and_exhausts():
-    spec = ChargingSpec(5)
-    state = SyncScanState.start(2)
-    seen = [state.current_offset]
-    for _ in range(spec.cycle):
-        assert not state.exhausted(spec)
-        state = scan_step(state, decoded_ack=False, spec=spec)
-        seen.append(state.current_offset)
-    assert state.exhausted(spec)
-    assert not state.matched
-    assert seen[:-1] == [2, 3, 4, 5, 0, 1]
-    assert seen[-1] == 2  # back at the origin after a full scan
-    assert state.origin_offset == 2
+    node = lone_sender(t=5, offset=2)
+    attempts = run_scan(node)
+    assert [s % 6 for s in attempts] == [3, 4, 5, 0, 1, 2]
+    assert [b - a for a, b in zip(attempts, attempts[1:])] == [7] * 5
+    # unanswered after t+1 attempts: back to listening at the base offset
+    assert node.state == "recv" and not node.matched
+    assert node.next_wake % 6 == 2
 
 
 def test_scan_state_covers_every_offset():
     for t in range(1, 9):
-        spec = ChargingSpec(t)
         for start in range(t + 1):
-            state = SyncScanState.start(start)
-            seen = set()
-            for _ in range(spec.cycle):
-                seen.add(state.current_offset)
-                state = scan_step(state, decoded_ack=False, spec=spec)
-            assert seen == set(range(t + 1))
+            node = lone_sender(t, start)
+            attempts = run_scan(node)
+            assert sorted(s % (t + 1) for s in attempts) == list(range(t + 1))
+            assert node.next_wake % (t + 1) == start
 
 
 def test_scan_match_freezes_state():
-    spec = ChargingSpec(5)
-    state = SyncScanState.start(0)
-    state = scan_step(state, decoded_ack=False, spec=spec)
-    matched = scan_step(state, decoded_ack=True, spec=spec)
-    assert matched.matched
-    assert matched.current_offset == state.current_offset
-    assert not matched.exhausted(spec)
-    with pytest.raises(ValueError):
-        scan_step(matched, decoded_ack=True, spec=spec)
+    node = lone_sender(t=5, offset=0)
+    attempts = run_scan(node, ack_attempt=2)
+    assert len(attempts) == 2
+    assert node.matched and node.offset_cache == 2
+    # the node stays on the matched offset for the next cycle
+    assert node.next_wake == attempts[-1] + 6
 
 
 def test_mean_latency_tracks_analytic():

@@ -5,7 +5,6 @@ from icroute.core import ChargingSpec, NO_HOP, NodePlacement, SINK, Scenario
 from icroute.engine import Countdown
 from icroute.radio import EventTrace
 from icroute.topology import (
-    TopoConfig,
     TopoNode,
     TopoSink,
     bfs_hops,
@@ -86,33 +85,9 @@ def test_sink_transmits_one_round_per_slot():
     assert sink.poll(4) is None and sink.poll(11) is None
 
 
-def _bare_node(t=5, cfg=None):
+def _bare_node(t=5):
     sc = line_scenario(1, t=t)
-    return TopoNode(0, 0, sc.spec, cfg or TopoConfig(), sc, Countdown())
-
-
-def test_wait_timer_rounds_example():
-    # decode round 2 of 5 at slot 100: wait (5-2) rounds of 6 slots = 18
-    node = _bare_node(t=5)
-    node.hop = 3
-    node._enter_wait(100, round_no=2)
-    assert node._bcast_start == 118
-    assert node.state == "wait"
-
-
-def test_wait_timer_last_round_starts_next_cycle():
-    node = _bare_node(t=5)
-    node.hop = 3
-    node._enter_wait(100, round_no=5)
-    assert node._bcast_start == 106
-
-
-def test_wait_timer_slots_mode():
-    node = _bare_node(t=5, cfg=TopoConfig(wait_timer="slots"))
-    node.hop = 3
-    node._enter_wait(100, round_no=2)
-    # a 3 slot timer expires mid-charge; first working slot is one cycle on
-    assert node._bcast_start == 106
+    return TopoNode(0, 0, sc.spec, sc, Countdown())
 
 
 def test_relay_anchor_is_a_round_past_half_a_pass():
@@ -152,7 +127,7 @@ def test_single_neighbor_learns_hop_during_sink_pass():
 def test_broadcast_pass_rotates_through_every_offset():
     t = 5
     sc = line_scenario(2, spacing=90, t=t, offsets=[2, 4])
-    trace = EventTrace(enabled=True)
+    trace = EventTrace()
     build_topology(sc, trace=trace)
     tx = [e for e in trace.events
           if e.node == 0 and e.kind == "tx" and e.detail["frame"] == "HopFrame"]
@@ -233,10 +208,10 @@ def test_probe_scan_rotates_like_a_sync_scan():
     nodes = [NodePlacement(0, 8.0, 0.0, 1), NodePlacement(1, 60.0, 0.0, 2)]
     sc = Scenario(spec, nodes, sink_xy=(0.0, 0.0), range_m=10.0,
                   width=70.0, height=1.0, seed=5)
-    trace = EventTrace(enabled=True)
-    res = build_topology(sc, cfg=TopoConfig(probe_scans=2), trace=trace)
+    trace = EventTrace()
+    res = build_topology(sc, trace=trace)
     probes = [e.slot for e in trace.events if e.node == 1 and e.kind == "tx"]
-    assert len(probes) == 8  # two full scans of t+1 attempts each
+    assert len(probes) == 12  # three full scans of t+1 attempts each
     first = probes[:4]
     assert [b - a for a, b in zip(first, first[1:])] == [5, 5, 5]
     assert sorted(s % 4 for s in first) == [0, 1, 2, 3]
