@@ -16,7 +16,7 @@ from .experiments import (
     generate_scenario,
     run_experiment,
 )
-from .forwarding import ForwardingParams, run_forwarding
+from .forwarding import run_forwarding
 from .sync import closed_form_latency, expected_scan_latency
 from .topology import build_topology, verify_least_hop
 
@@ -25,7 +25,6 @@ __all__ = [
     "ChargingSpec",
     "ExperimentConfig",
     "ExperimentResult",
-    "ForwardingParams",
     "Message",
     "NodePlacement",
     "Scenario",

@@ -17,6 +17,16 @@ Node behaviors are plain objects with:
     finish(slot)       -> None; end-of-slot transition, resets next_wake
     on_busy(slot)      -> None; optional carrier-sense hook, called when a
                           listener saw colliding energy it could not decode
+
+A behavior has one heap entry while its `next_wake` is set, and it is
+polled and finished only in the slots it scheduled; `finish` must move
+`next_wake` past the slot or clear it.  A node that is dead at its wake
+loses its schedule.  The sink is the exception to waking only when
+scheduled: it is mains powered, so it listens in every processed slot,
+first among the listeners of both phases, whether or not it scheduled
+the slot.  A sink that only listens sets `next_wake = None` and needs
+no `poll` or `finish`; its listening never makes the engine process a
+slot.
 """
 
 from __future__ import annotations
@@ -71,38 +81,41 @@ class Engine:
         return self._jitter[nid].randrange(MICRO_SLOTS)
 
     def run(self, max_slots: int, quiesced=None) -> RunResult:
-        """Advance until `quiesced()` holds or `max_slots` is exceeded."""
+        """Advance until `quiesced()` holds or `max_slots` is exceeded.
+
+        A run that does not quiesce ends at `max_slots`: the sink listened
+        through the horizon, whether or not a node woke in its last slots.
+        """
         res = RunResult(last_slot=0, converged=False)
+        if quiesced is not None and quiesced():
+            res.converged = True
+            return res
         heap = self._heap
         all_behaviors = dict(self.behaviors)
         all_behaviors[SINK] = self.sink
-        while heap:
+        while heap and heap[0][0] <= max_slots:
             slot = heap[0][0]
-            if slot > max_slots:
-                break
             awake = []
             while heap and heap[0][0] == slot:
                 _, nid = heapq.heappop(heap)
-                beh = all_behaviors[nid]
-                if beh.next_wake != slot or nid in awake:
-                    continue  # stale or duplicate entry from a reschedule
-                if nid != SINK and not self._alive(nid, slot):
-                    beh.next_wake = None
-                    continue
-                awake.append(nid)
+                if self._alive(nid, slot):
+                    awake.append(nid)
+                else:
+                    all_behaviors[nid].next_wake = None
             if not awake:
                 continue
             self._step(slot, awake, all_behaviors, res)
-            for nid in awake + ([SINK] if SINK not in awake else []):
-                beh = all_behaviors[nid]
-                if beh.next_wake is not None and beh.next_wake <= slot:
-                    raise RuntimeError(f"node {nid} rescheduled into the past")
-                if beh.next_wake is not None:
-                    heapq.heappush(heap, (beh.next_wake, nid))
-            res.last_slot = slot
+            for nid in awake:
+                wake = all_behaviors[nid].next_wake
+                if wake is not None:
+                    if wake <= slot:
+                        raise RuntimeError(f"node {nid} rescheduled into the past")
+                    heapq.heappush(heap, (wake, nid))
             if quiesced is not None and quiesced():
+                res.last_slot = slot
                 res.converged = True
-                break
+                return res
+        res.last_slot = max_slots
         return res
 
     def _step(self, slot, awake, behaviors, res):
@@ -119,10 +132,7 @@ class Engine:
                     trace.add(slot, nid, "tx", frame=type(frame).__name__)
         res.frames_sent += len(tx_a)
 
-        tx_ids = {f.src for f, _ in tx_a}
-        listeners_a = [n for n in awake if n not in tx_ids]
-        if SINK not in tx_ids and SINK not in listeners_a:
-            listeners_a.append(SINK)  # the sink hears every slot
+        listeners_a = _listeners(awake, tx_a)
         decode_a = (
             resolve_slot(tx_a, listeners_a, positions, range_m) if tx_a else {}
         )
@@ -149,10 +159,7 @@ class Engine:
                     trace.add(slot, nid, "txr", frame=type(resp).__name__)
 
         if tx_b:
-            tx_b_ids = {f.src for f, _ in tx_b}
-            listeners_b = [n for n in awake if n not in tx_b_ids]
-            if SINK not in tx_b_ids and SINK not in listeners_b:
-                listeners_b.append(SINK)
+            listeners_b = _listeners(awake, tx_b)
             decode_b = resolve_slot(tx_b, listeners_b, positions, range_m)
             for nid in listeners_b:
                 got = decode_b.get(nid)
@@ -169,6 +176,14 @@ class Engine:
                     behaviors[nid].on_ack(slot, got)
 
         for nid in awake:
-            if nid != SINK:
-                behaviors[nid].finish(slot)
-        self.sink.finish(slot)  # the sink closes every processed slot
+            behaviors[nid].finish(slot)
+
+
+def _listeners(awake, transmissions):
+    """Awake nodes that did not transmit in a phase, the sink first: it
+    listens in every processed slot, scheduled or not."""
+    tx_ids = {f.src for f, _ in transmissions}
+    out = [n for n in awake if n not in tx_ids and n != SINK]
+    if SINK not in tx_ids:
+        out.insert(0, SINK)
+    return out

@@ -17,7 +17,7 @@ attempts is treated as failed; recovery policy is pluggable (see
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import (
     NO_HOP,
@@ -29,21 +29,9 @@ from .core import (
     Scenario,
 )
 from .engine import Countdown, Engine, RunResult
-from .radio import derive_rng_stream
 
-
-@dataclass(frozen=True)
-class ForwardingParams:
-    queue_threshold: int = 1  # queued messages needed to take the sender role
-    queue_cap: int = 16
-    recovery_slack: int | None = None  # None: one full cycle
-
-    def __post_init__(self):
-        if not 1 <= self.queue_threshold <= self.queue_cap:
-            raise ValueError("need 1 <= queue_threshold <= queue_cap")
-
-    def slack(self, spec: ChargingSpec) -> int:
-        return spec.cycle if self.recovery_slack is None else self.recovery_slack
+QUEUE_THRESHOLD = 1  # queued messages needed to take the sender role
+QUEUE_CAP = 16  # messages a node holds; a full queue acks nothing
 
 
 def swing_back(amount: int, spec: ChargingSpec) -> int:
@@ -63,13 +51,14 @@ def message_slot(offset: int, seq: int, spec: ChargingSpec) -> int:
     return offset + seq * spec.cycle
 
 
-def failure_recovery_wait(spec: ChargingSpec, params: ForwardingParams) -> int:
+def failure_recovery_wait(spec: ChargingSpec) -> int:
     """Slots a sender sits out after its matched next hop goes silent.
 
-    Long enough for the dead node's own upstream traffic to drain or
-    time out before the survivor rejoins the contention.
+    Long enough for the dead node's own upstream traffic to drain (a full
+    queue, one message per cycle) or time out (one more cycle) before the
+    survivor rejoins the contention.
     """
-    return spec.cycle * params.queue_cap + params.slack(spec)
+    return (QUEUE_CAP + 1) * spec.cycle
 
 
 class CachedPolicy:
@@ -90,7 +79,7 @@ class CachedPolicy:
         pass
 
     def failure_wait(self, node):
-        return failure_recovery_wait(node.spec, node.params)
+        return failure_recovery_wait(node.spec)
 
 
 @dataclass
@@ -105,17 +94,18 @@ class Delivery:
 
 class ForwardSink:
     """Always-awake terminus: acks anything addressed to it (or to nobody),
-    records first arrivals, and absorbs duplicates silently."""
+    records first arrivals, and absorbs duplicates silently.
+
+    It never transmits unprompted, so it schedules no wake of its own: the
+    engine has it listen in every slot some node works.
+    """
 
     def __init__(self, pending: Countdown):
-        self.next_wake = 0
+        self.next_wake = None
         self.seen = set()
         self.deliveries = []
         self.duplicates = 0
         self.pending = pending
-
-    def poll(self, slot):
-        return None
 
     def on_data(self, slot, frame):
         if not isinstance(frame, DataFrame):
@@ -141,19 +131,15 @@ class ForwardSink:
     def on_ack(self, slot, frame):
         return None
 
-    def finish(self, slot):
-        self.next_wake = slot + 1
-
 
 class ForwardNode:
     """Sender/receiver state machine for one duty-cycled node."""
 
-    def __init__(self, placement, spec, params, scenario, policy, hop,
-                 rounds, pending: Countdown):
+    def __init__(self, placement, spec, policy, hop, rounds,
+                 pending: Countdown):
         self.id = placement.node_id
         self.base = placement.offset
         self.spec = spec
-        self.params = params
         self.cycle = spec.cycle
         self.policy = policy
         self.hop = hop
@@ -254,7 +240,7 @@ class ForwardNode:
                 # is ours to carry onward
                 self._break_stale_lock()
             return None
-        if len(self.queue) >= self.params.queue_cap:
+        if len(self.queue) >= QUEUE_CAP:
             self.dropped_full += 1
             return None  # no ack: the sender must retry later
         self.queue.append(Message(
@@ -286,7 +272,7 @@ class ForwardNode:
         # them (created_at keeps the scheduled slot either way)
         while self.generated < self.rounds:
             due = message_slot(self.base, self.generated, self.spec)
-            if due > slot or len(self.queue) >= self.params.queue_cap:
+            if due > slot or len(self.queue) >= QUEUE_CAP:
                 break
             self.queue.append(Message(
                 origin=self.id,
@@ -321,7 +307,7 @@ class ForwardNode:
                 self._go_sender = True
         want_sender = self._go_sender or (
             self.id_match is None
-            and len(self.queue) >= self.params.queue_threshold
+            and len(self.queue) >= QUEUE_THRESHOLD
         )
         self._go_sender = False
         if want_sender and self.queue:
@@ -465,7 +451,6 @@ class ForwardResult:
 
 
 def run_forwarding(scenario: Scenario, hops: dict, rounds: int = 1,
-                   params: ForwardingParams | None = None,
                    policies: dict | None = None,
                    max_slots: int | None = None,
                    trace=None) -> ForwardResult:
@@ -475,7 +460,6 @@ def run_forwarding(scenario: Scenario, hops: dict, rounds: int = 1,
     `policies` maps node id to a strategy object; nodes default to the
     caching strategy.
     """
-    params = params or ForwardingParams()
     if max_slots is None:
         t = scenario.spec.charge_slots
         depth = max((h for h in hops.values() if h != NO_HOP), default=1)
@@ -487,7 +471,7 @@ def run_forwarding(scenario: Scenario, hops: dict, rounds: int = 1,
     for p in scenario.nodes:
         policy = (policies or {}).get(p.node_id, default_policy)
         nodes[p.node_id] = ForwardNode(
-            p, scenario.spec, params, scenario, policy,
+            p, scenario.spec, policy,
             hop=hops.get(p.node_id, NO_HOP),
             rounds=rounds, pending=pending,
         )

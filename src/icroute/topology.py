@@ -156,8 +156,7 @@ class TopoSink:
             self.ackers.add(frame.src)
 
     def finish(self, slot):
-        if self.next_wake is not None and slot >= self.next_wake:
-            self.next_wake = slot + 1 if slot < 2 * self.t else None
+        self.next_wake = slot + 1 if slot < 2 * self.t else None
 
 
 class TopoNode:
@@ -206,7 +205,6 @@ class TopoNode:
         self._farewells = 0
         self._lone_pass = False
         # probe bookkeeping
-        self.probes_used = 0
         self._probe_attempt = 0
         self._scans_used = 0
         self.unreachable = False
@@ -252,7 +250,6 @@ class TopoNode:
         if self.state == "bcast" and self._tx_now:
             return HopFrame(src=self.id, hop=self.hop, round_no=self._stamp(slot))
         if self.state == "probe":
-            self.probes_used += 1
             return HopFrame(src=self.id, hop=NO_HOP, round_no=self.t)
         return None
 

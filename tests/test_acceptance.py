@@ -18,12 +18,11 @@ from statistics import fmean, median
 from conftest import ACCEPTANCE_LINES
 
 from icroute.baselines import STRATEGIES, build_policies
-from icroute.core import AckFrame, ChargingSpec, Message, Scenario, delay_offset
+from icroute.core import AckFrame, ChargingSpec, Message, delay_offset
 from icroute.engine import Countdown
 from icroute.experiments import ExperimentConfig, generate_scenario, run_experiment
 from icroute.forwarding import (
     ForwardNode,
-    ForwardingParams,
     run_forwarding,
     swing_back,
 )
@@ -338,11 +337,9 @@ def test_acceptance_9_protocol_properties():
     spec = ChargingSpec(charge_slots=5)
     from icroute.core import NodePlacement
     placement = NodePlacement(node_id=1, x=0.0, y=0.0, offset=2)
-    sc = Scenario(spec=spec, nodes=[placement], sink_xy=(0.0, 0.0),
-                  range_m=1.0, width=1.0, height=1.0)
     from icroute.forwarding import CachedPolicy
-    node = ForwardNode(placement, spec, ForwardingParams(), sc, CachedPolicy(),
-                       hop=2, rounds=0, pending=Countdown(0))
+    node = ForwardNode(placement, spec, CachedPolicy(), hop=2, rounds=0,
+                       pending=Countdown(0))
     flags = _drive_batches(node, [(0, 1, 2), (3, 4)])
     want = [(True, False), (False, False), (False, True),
             (True, False), (False, True)]

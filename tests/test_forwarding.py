@@ -4,6 +4,7 @@ end-to-end runs on small lines."""
 
 import pytest
 
+from icroute import forwarding
 from icroute.core import (
     AckFrame,
     ChargingSpec,
@@ -17,7 +18,6 @@ from icroute.engine import Countdown
 from icroute.forwarding import (
     CachedPolicy,
     ForwardNode,
-    ForwardingParams,
     failure_recovery_wait,
     run_forwarding,
     swing_back,
@@ -32,14 +32,10 @@ def make_spec(t):
     return ChargingSpec(charge_slots=t)
 
 
-def make_node(t=5, offset=2, hop=2, rounds=0, threshold=1, cap=16, delta=None):
+def make_node(t=5, offset=2, hop=2, rounds=0):
     spec = make_spec(t)
-    params = ForwardingParams(queue_threshold=threshold, queue_cap=cap,
-                              recovery_slack=delta)
     placement = NodePlacement(node_id=1, x=0.0, y=0.0, offset=offset)
-    scenario = Scenario(spec=spec, nodes=[placement], sink_xy=(0.0, 0.0),
-                        range_m=1.0, width=1.0, height=1.0)
-    return ForwardNode(placement, spec, params, scenario, CachedPolicy(),
+    return ForwardNode(placement, spec, CachedPolicy(),
                        hop=hop, rounds=rounds, pending=Countdown(rounds))
 
 
@@ -87,25 +83,20 @@ def test_swing_rejects_bad_inputs():
         swing_back(-1, make_spec(5))
 
 
-def test_failure_recovery_wait_values():
-    assert failure_recovery_wait(make_spec(50), ForwardingParams()) == 867
-    assert failure_recovery_wait(
-        make_spec(50), ForwardingParams(queue_cap=1, recovery_slack=0)) == 51
-
-
-def test_params_validation():
-    with pytest.raises(ValueError):
-        ForwardingParams(queue_threshold=0)
-    with pytest.raises(ValueError):
-        ForwardingParams(queue_threshold=17, queue_cap=16)
+def test_failure_recovery_wait_values(monkeypatch):
+    assert failure_recovery_wait(make_spec(50)) == 867
+    # read at call time: one queued message plus one cycle
+    monkeypatch.setattr(forwarding, "QUEUE_CAP", 1)
+    assert failure_recovery_wait(make_spec(50)) == 102
 
 
 # -- sender state machine, bench-driven ------------------------------------
 
 
-def test_scan_attempt_slots_walk_one_ahead_each_cycle():
+def test_scan_attempt_slots_walk_one_ahead_each_cycle(monkeypatch):
     # offset 2, t=5: sender entry at slot 8, attempts at 15, 22, 29, ...
-    node = make_node(rounds=2, threshold=2)
+    monkeypatch.setattr(forwarding, "QUEUE_THRESHOLD", 2)
+    node = make_node(rounds=2)
     sent = drive(node, until=28)
     assert [s for s, _ in sent] == [15, 22]
     assert node.send_attempts == 2
@@ -113,11 +104,12 @@ def test_scan_attempt_slots_walk_one_ahead_each_cycle():
     assert swing_back(node.offset_forth, node.spec) == 4
 
 
-def test_match_at_third_attempt_sends_batch_on_consecutive_cycles():
+def test_match_at_third_attempt_sends_batch_on_consecutive_cycles(monkeypatch):
     # two queued messages, ack arrives at the third attempt (slot 29):
     # the matched frame and its successor go out one cycle apart on the
     # swung offset, first opening and last closing the batch
-    node = make_node(rounds=2, threshold=2)
+    monkeypatch.setattr(forwarding, "QUEUE_THRESHOLD", 2)
+    node = make_node(rounds=2)
     sent = drive(node, until=40, ack_slots={29, 35})
     slots = [s for s, _ in sent]
     assert slots == [15, 22, 29, 35]
@@ -131,8 +123,9 @@ def test_match_at_third_attempt_sends_batch_on_consecutive_cycles():
     assert [f.seq for _, f in sent] == [0, 1, 0, 1]
 
 
-def test_batch_done_swings_back_to_base_offset():
-    node = make_node(rounds=2, threshold=2)
+def test_batch_done_swings_back_to_base_offset(monkeypatch):
+    monkeypatch.setattr(forwarding, "QUEUE_THRESHOLD", 2)
+    node = make_node(rounds=2)
     drive(node, until=60, ack_slots={29, 35})
     assert node.state == "recv"
     assert node.next_wake % 6 == 2
@@ -166,7 +159,7 @@ def test_exhausted_scan_covers_every_offset_then_rests_at_base():
 
 
 def test_cached_offset_reused_without_rescan():
-    node = make_node(rounds=2, threshold=1)
+    node = make_node(rounds=2)
     # first batch: seq 0 alone, matched at the first attempt (slot 9)
     sent = drive(node, until=40, ack_slots="all")
     assert node.matched and node.offset_cache == 1
@@ -186,9 +179,10 @@ def test_generation_during_send_reopens_batch_after_closed_one():
     assert all(f.is_start and f.is_end for _, f in sent)
 
 
-def test_matched_failure_holds_then_rescans():
+def test_matched_failure_holds_then_rescans(monkeypatch):
     t = 5
-    node = make_node(t=t, rounds=2, cap=4, delta=0)
+    monkeypatch.setattr(forwarding, "QUEUE_CAP", 3)  # hold (3 + 1) cycles
+    node = make_node(t=t, rounds=2)
     sent = drive(node, until=9, ack_slots={9})
     assert node.matched
     # next hop dies: six straight misses trip the failure at slot 45
@@ -196,7 +190,7 @@ def test_matched_failure_holds_then_rescans():
     assert [s for s, _ in sent] == [15, 21, 27, 33, 39, 45]
     assert node.state == "hold" and not node.matched
     assert node.failures == 1
-    wait = failure_recovery_wait(node.spec, node.params)
+    wait = failure_recovery_wait(node.spec)
     assert wait == 24
     # silent for the whole hold, then the scan starts over from base
     sent = drive(node, until=45 + wait + 40)
@@ -250,8 +244,9 @@ def test_duplicate_frame_reacked_but_not_requeued():
     assert len(node.queue) == 1
 
 
-def test_full_queue_drops_without_ack():
-    node = make_node(cap=2)
+def test_full_queue_drops_without_ack(monkeypatch):
+    monkeypatch.setattr(forwarding, "QUEUE_CAP", 2)
+    node = make_node()
     node.on_data(10, data_frame(seq=0, is_start=True))
     node.on_data(16, data_frame(seq=1, dst=1))
     assert node.on_data(22, data_frame(seq=2, dst=1)) is None
@@ -273,8 +268,9 @@ def test_sender_naming_someone_else_breaks_stale_lock():
     assert len(node.queue) == 1
 
 
-def test_closing_frame_unlocks_and_hands_over_sender_role():
-    node = make_node(threshold=16)  # far above the queue depth
+def test_closing_frame_unlocks_and_hands_over_sender_role(monkeypatch):
+    monkeypatch.setattr(forwarding, "QUEUE_THRESHOLD", 16)
+    node = make_node()  # far above the queue depth
     node.on_data(10, data_frame(seq=0, is_start=True))
     node.on_data(16, data_frame(seq=1, dst=1, is_end=True))
     assert node.id_match is None

@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from icroute.core import AckFrame, ChargingSpec, NodePlacement, Scenario
+from icroute.core import AckFrame, ChargingSpec, NodePlacement
 from icroute.engine import Countdown
-from icroute.forwarding import CachedPolicy, ForwardingParams, ForwardNode
+from icroute.forwarding import CachedPolicy, ForwardNode
 from icroute.sync import (
     alignment_cycles,
     closed_form_latency,
@@ -102,10 +102,8 @@ def lone_sender(t, offset):
     """A forwarding node with one message to send and a scan to run."""
     spec = ChargingSpec(t)
     placement = NodePlacement(node_id=1, x=0.0, y=0.0, offset=offset)
-    scenario = Scenario(spec=spec, nodes=[placement], sink_xy=(0.0, 0.0),
-                        range_m=1.0, width=1.0, height=1.0)
-    return ForwardNode(placement, spec, ForwardingParams(), scenario,
-                       CachedPolicy(), hop=1, rounds=1, pending=Countdown(1))
+    return ForwardNode(placement, spec, CachedPolicy(), hop=1, rounds=1,
+                       pending=Countdown(1))
 
 
 def run_scan(node, ack_attempt=None):
