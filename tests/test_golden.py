@@ -1,7 +1,9 @@
 """Golden exports: the same seed must keep giving the same bytes.
 
-Each grid point maps one field and forwards one round of messages under
-every strategy; the sha256 of every exported file is pinned.  `rics`
+Each grid point (shape, nodes, t) maps one field and forwards one round
+of messages under every strategy; the sha256 of every exported file is
+pinned.  The grid is square/rectangle x (n50 t5, n50 t50, n100 t5, n50
+t120); t=120 is where listening nodes sit out the most slots.  `rics`
 also writes its event trace.  A digest may change only with a behaviour
 change, and CHANGES.md must then say which bytes moved and why.
 """
@@ -18,7 +20,7 @@ from icroute.topology import build_topology
 TRACED = "rics"
 
 GOLDEN = {
-    ("square", 5): {
+    ("square", 50, 5): {
         "topology.json": "17bbcfbed014f70cfb06ea71bab21d107b1b45a1d04ecd27cef0511926ff7435",
         "rics/messages.csv": "5adc0c4be1d4e216585fb1ebdb591e638c78bdee29d21baa404ffeffca510481",
         "rics/summary.json": "ba9786bb4c65a353644f3b5778459fc7ddb471ba097301b54f870a8ad0f39b2a",
@@ -30,7 +32,7 @@ GOLDEN = {
         "otps/messages.csv": "16c8096e510ff5cb2a501b4dc70cebf14bd3e3ac6332a2d48015f59c6183950a",
         "otps/summary.json": "12d1b709bad2a13af3bd6c31931c1f49ee378eafbc781ad3ba977cd943670576",
     },
-    ("square", 50): {
+    ("square", 50, 50): {
         "topology.json": "ab337581efb8d5083d9217249eeb9546d2e03494fcd9866816dd87fcf5a9c8c9",
         "rics/messages.csv": "ace2005e7cf3bc6d8dad3aeb9001fc13122f8ff4ca1464e52eada6f2932ba148",
         "rics/summary.json": "ca6da0e58d4c043c36566c0aef5f64a8e31117c716fe92367d574d9499509104",
@@ -42,7 +44,7 @@ GOLDEN = {
         "otps/messages.csv": "f56b7dae5aa630b4c85e8c434d3bb6acb3ab2c7c0c184c1cd5bff11ef407c4bb",
         "otps/summary.json": "d9b55af5e05439095a890a68e599be75b7a76bfdfabc52fcf07adf4cc29f529a",
     },
-    ("rectangle", 5): {
+    ("rectangle", 50, 5): {
         "topology.json": "5892b258cbd058b3d067a4dc34413c3bfa2f76bd5b55de33e43c22d770fff44c",
         "rics/messages.csv": "e452829db04774413189d0f77f8c4c02b9fd9278bbaa68be46a84ebd8545335d",
         "rics/summary.json": "9bdfb0c06c485a79b6c1c8cc0319baf3c070fb02e99342f22c878d8de3117eac",
@@ -54,7 +56,7 @@ GOLDEN = {
         "otps/messages.csv": "f9ef140f7a7aca9767047c2f3d9df7f9ad7a65399a7f7e65419a04739d4e6fb0",
         "otps/summary.json": "ef1d2e718d1b3995b6acdff7ab235ae15c3393f99709ccde3421d7103a6d652c",
     },
-    ("rectangle", 50): {
+    ("rectangle", 50, 50): {
         "topology.json": "36a3b070e4a1bd7721f71051fe15be7cc3a24a90b9d228ac62cee9948249ab7e",
         "rics/messages.csv": "c648f702b9d83dd2a7f82a292e00bbbb82c6518ab87086d51fb20c8ed060c180",
         "rics/summary.json": "484e7ae814a63cf2bdc8441f6036f69208a9bb7711c2394b5692c9db637fa6c0",
@@ -66,6 +68,54 @@ GOLDEN = {
         "otps/messages.csv": "c648f702b9d83dd2a7f82a292e00bbbb82c6518ab87086d51fb20c8ed060c180",
         "otps/summary.json": "005d5448716ebafbb171b0f29710de257c8b9466a4091cfde0e65c87cae1ca84",
     },
+    ("square", 100, 5): {
+        "topology.json": "f67bb542f6bbc2867a6c7ad8c7ef3e17a88094079217126dc6ddbfcf5b7666ba",
+        "rics/messages.csv": "49b0c25cd7711952b47c37734867398f9b7eca4735f16c584fceafa62b02bf46",
+        "rics/summary.json": "373de5b46b907a523c1e62c3a57fc19708c69116fbec0dfdf5236e63f141d577",
+        "rics/trace.ndjson": "740a7a96c159075a3cbda2342e894578200c977ea2ddd699f13b69eed6b30ef1",
+        "fxcs/messages.csv": "12ee23cad8d3512bafeeeaad6cdc0a0beed37cbc73375c6cb4efafc67acf69f7",
+        "fxcs/summary.json": "c401524eb341ab511cf1a4127c0fde27edb18c01dd0dafba8d098ab1a9e40e88",
+        "rncs/messages.csv": "16de0b83bfc65926770c4a36bf13a5d99246256cc7af0cd2af8372795ac629fe",
+        "rncs/summary.json": "300cd825a92965d3b6f298de717823321f089937978936174bf6c772772c1dbe",
+        "otps/messages.csv": "6e22d42f09c218f749c4281efe514074bbbd585d00b945add529d4516f8547e1",
+        "otps/summary.json": "690788198ebbfa33fab84883f893e5808dbd1517fb59c66ba43a6d62d8d190cc",
+    },
+    ("square", 50, 120): {
+        "topology.json": "5e30d864a4b3f20debebd132338cd22d698065428763698b17e2290c29a16523",
+        "rics/messages.csv": "1da40b4b302e03719a7e974234bf299376b22cedb2cac8cfee16ea105489991c",
+        "rics/summary.json": "8c053a785ba4a42a6e05ef21ef7b191c67c7e630e8af515cd35a3f5f19a2a457",
+        "rics/trace.ndjson": "37c992465c38e5ac49b682506408fc683500075f234e1d1081ad9be206f317c8",
+        "fxcs/messages.csv": "bc71829159c63e54330292e2c0e6289b8e7f84373b03fe66642098688a9899fb",
+        "fxcs/summary.json": "c7d522e935765ae05d1595bce9965d88636ca0f64c45e2948c881eba491738c6",
+        "rncs/messages.csv": "72bf12cbc38296010e6f5d34c9785616dec8298e5aa1d1962bd2b7ba72a1a35b",
+        "rncs/summary.json": "babe43aaa821b1b49100d58d64c1bd0add7c0a8cdd29830caac4d6d99681e48a",
+        "otps/messages.csv": "1c93b39075f134c0a47a015fd4039b946c79c935c8971822e3fee38191806645",
+        "otps/summary.json": "edcff7dc03a41b4315b16315b9899655afbe368901c797dcf07c0f4dcfb0edf6",
+    },
+    ("rectangle", 100, 5): {
+        "topology.json": "36e5091b641f022dd3d9b0df4ce2611162ffd84bb9f7e39cba4f61ce3d8b92ca",
+        "rics/messages.csv": "a8b1b0093ba78b6a64f19e47a829cb226c4e7dd41d81f62ceec7b2110e55dfe2",
+        "rics/summary.json": "e1ec9fff3dfe070d4b18c2f3652d9c416c8cc99493d7b011cfe72543f2176eb1",
+        "rics/trace.ndjson": "59075f37ca27df5f0bcbcb7ef294b13f4a7fa77aa6af73315a1cc27f8f953631",
+        "fxcs/messages.csv": "50691621ae58bbd03ce6411584f8196a298c01dcf8bb4284133ab2d459a8bcb1",
+        "fxcs/summary.json": "8e91a855fcfb53159963079e32866f6738795775aa1d749e6fcc21c0b8ad6a9d",
+        "rncs/messages.csv": "0bf516efeab6108144840cf00ee0a650d9afbecb70b647041380224d21073795",
+        "rncs/summary.json": "52a83fcf431856f3b0093c253732de0884d99b04bcf8dcb671eb17e35d9648d7",
+        "otps/messages.csv": "83da79bc7f7324ea52ec50043c1cb2803bf5cb4c337300ebccc4a48ba59ed70a",
+        "otps/summary.json": "db6ac261d8187590e1e6e34bdccc08b5c202b88793d9fa12652ea802b6a6ed98",
+    },
+    ("rectangle", 50, 120): {
+        "topology.json": "2eb1128fb6f92e7de50832644827f54a9e0b58f39f43563de848eba421b98f50",
+        "rics/messages.csv": "65cdb39ce052f41e1c95287aaabcaea46816d2fc7d0efad12f487864509c5d1c",
+        "rics/summary.json": "194e8f3f95e12ce12a37f11a0e95ddf2c6363c7f36f81d9a7159918de173bb83",
+        "rics/trace.ndjson": "2fe50b40799f5e7b0c3a7a0c7876db3018a93ca6229ab1ed194137e73260a1b5",
+        "fxcs/messages.csv": "30b92e6bda65c19235c856cba5a04ab88e5130e473f9c52ac49a7d15d881ad8e",
+        "fxcs/summary.json": "60a6932f26b67f96045b5e59ad9e7a2fa08cb14d0f3ff720003b65f307fca8f8",
+        "rncs/messages.csv": "99aa7eb1c76f8f69322f0f23545e07f4393dd029fdfad9307b36e78d2610bad3",
+        "rncs/summary.json": "26ab6c3bb44b45ae91185cc9398d63b581e704731b92666eeedb538e3371a292",
+        "otps/messages.csv": "65cdb39ce052f41e1c95287aaabcaea46816d2fc7d0efad12f487864509c5d1c",
+        "otps/summary.json": "e5d8f8e1c79950a0a1b4bd4a53b0560f1c8dcd8ec05640fbcd798dd46fcf51f2",
+    },
 }
 
 
@@ -74,14 +124,20 @@ def _sha256(path):
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-@pytest.mark.parametrize("shape,t", sorted(GOLDEN))
-def test_exports_match_golden_digests(tmp_path, shape, t):
-    config = ExperimentConfig(shape=shape, n_nodes=50, t=t, rounds=1, seed=11)
+def _grid_param(shape, n, t):
+    # the n50 points keep their original ids
+    return pytest.param(shape, n, t,
+                        id=f"{shape}-{t}" if n == 50 else f"{shape}-n{n}-{t}")
+
+
+@pytest.mark.parametrize("shape,n,t", [_grid_param(*p) for p in sorted(GOLDEN)])
+def test_exports_match_golden_digests(tmp_path, shape, n, t):
+    config = ExperimentConfig(shape=shape, n_nodes=n, t=t, rounds=1, seed=11)
     scenario = generate_scenario(config)
     topo = build_topology(scenario)
     got = {}
     for strategy in STRATEGIES:
-        cfg = ExperimentConfig(shape=shape, n_nodes=50, t=t, strategy=strategy,
+        cfg = ExperimentConfig(shape=shape, n_nodes=n, t=t, strategy=strategy,
                                rounds=1, seed=11)
         result = run_experiment(cfg, scenario=scenario, topo=topo,
                                 trace=strategy == TRACED)
@@ -91,4 +147,4 @@ def test_exports_match_golden_digests(tmp_path, shape, t):
             digest = _sha256(path)
             # every strategy exports the one shared topology
             assert got.setdefault(key, digest) == digest, key
-    assert got == GOLDEN[(shape, t)]
+    assert got == GOLDEN[(shape, n, t)]
