@@ -11,31 +11,54 @@ can still hear the ack phase of the same slot.
 
 Node behaviors are plain objects with:
     next_wake          absolute slot of the next working slot, or None
+    listen_offset      None, or the offset (slot % cycle) the node is
+                       parked at; then next_wake is its deadline
     poll(slot)         -> Frame to transmit in the data phase, or None
     on_data(slot, f)   -> response Frame for the ack phase, or None
     on_ack(slot, f)    -> None; decoded ack-phase frame delivery
     finish(slot)       -> None; end-of-slot transition, resets next_wake
+                          and listen_offset
     on_busy(slot)      -> None; optional carrier-sense hook, called when a
                           listener saw colliding energy it could not decode
 
-A behavior has one heap entry while its `next_wake` is set, and it is
-polled and finished only in the slots it scheduled; `finish` must move
+A behavior has one live heap entry while its `next_wake` is set, and it
+is polled and finished in the slots it scheduled; `finish` must move
 `next_wake` past the slot or clear it.  A node that is dead at its wake
-loses its schedule.  The sink is the exception to waking only when
-scheduled: it is mains powered, so it listens in every processed slot,
+loses its schedule.
+
+A behavior that only listens parks instead of waking every cycle: it
+sets `listen_offset` to the offset of its working slots and `next_wake`
+to its deadline, the first slot at that offset where its own check
+would fire (`park_deadline`), or None.  The engine files parked nodes
+in a calendar whose year is one cycle (offset -> parked ids).  A parked
+node listens in every processed slot at its offset without being
+polled, and it is finished only at its deadline or in a slot where it
+got `on_data`, `on_ack` or `on_busy`; its `finish` then parks it again
+or schedules it.  A deadline that such a `finish` moved is superseded:
+its heap entry is skipped, so the live one stays unique.  A parked node
+found dead leaves the calendar and never listens again.  A parked node
+never makes the engine process a slot before its deadline.
+
+The sink is mains powered, so it listens in every processed slot,
 first among the listeners of both phases, whether or not it scheduled
 the slot.  A sink that only listens sets `next_wake = None` and needs
-no `poll` or `finish`; its listening never makes the engine process a
-slot.
+no `poll` or `finish`.  The other listeners of a phase follow in node-id
+order, scheduled and parked alike.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import SINK, Scenario
 from .radio import COLLISION, MICRO_SLOTS, derive_rng_stream, resolve_slot
+
+
+def park_deadline(slot, until, cycle):
+    """First slot after `slot`, at its offset, that is at least `until`."""
+    first = max(until, slot + 1)
+    return first + (slot - first) % cycle
 
 
 class Countdown:
@@ -52,26 +75,25 @@ class RunResult:
     data_collisions: int = 0
     ack_collisions: int = 0
     frames_sent: int = 0
-    detail: dict = field(default_factory=dict)
 
 
 class Engine:
     def __init__(self, scenario: Scenario, behaviors, sink, trace=None):
         self.scenario = scenario
-        self.behaviors = behaviors  # node id -> behavior
-        self.sink = sink
         self.trace = trace
         self.positions = scenario.positions()
+        self._all = {**behaviors, SINK: sink}  # node id -> behavior
         self._jitter = {
             nid: derive_rng_stream(scenario.seed, nid, "jitter")
-            for nid in list(behaviors) + [SINK]
+            for nid in self._all
         }
+        self._cycle = scenario.spec.cycle
+        self._calendar = [set() for _ in range(self._cycle)]  # offset -> ids
+        self._filed = {}  # parked id -> (offset, deadline)
+        self._superseded = set()  # (slot, id) heap entries to skip
         self._heap = []
-        for nid, beh in behaviors.items():
-            if beh.next_wake is not None:
-                heapq.heappush(self._heap, (beh.next_wake, nid))
-        if sink.next_wake is not None:
-            heapq.heappush(self._heap, (sink.next_wake, SINK))
+        for nid, beh in self._all.items():
+            self._settle(nid, beh, -1, False)
 
     def _alive(self, nid, slot):
         died = self.scenario.deaths.get(nid)
@@ -91,26 +113,37 @@ class Engine:
             res.converged = True
             return res
         heap = self._heap
-        all_behaviors = dict(self.behaviors)
-        all_behaviors[SINK] = self.sink
+        behaviors = self._all
+        filed = self._filed
+        superseded = self._superseded
+        deaths = self.scenario.deaths
         while heap and heap[0][0] <= max_slots:
             slot = heap[0][0]
             awake = []
             while heap and heap[0][0] == slot:
-                _, nid = heapq.heappop(heap)
-                if self._alive(nid, slot):
+                entry = heapq.heappop(heap)
+                nid = entry[1]
+                if superseded and entry in superseded:
+                    superseded.remove(entry)
+                elif not deaths or self._alive(nid, slot):
                     awake.append(nid)
                 else:
-                    all_behaviors[nid].next_wake = None
+                    self._drop(nid)
             if not awake:
                 continue
-            self._step(slot, awake, all_behaviors, res)
+            touched = self._step(slot, awake, behaviors, res)
             for nid in awake:
-                wake = all_behaviors[nid].next_wake
+                beh = behaviors[nid]
+                if beh.listen_offset is not None or nid in filed:
+                    self._settle(nid, beh, slot, False)
+                    continue
+                wake = beh.next_wake
                 if wake is not None:
                     if wake <= slot:
                         raise RuntimeError(f"node {nid} rescheduled into the past")
                     heapq.heappush(heap, (wake, nid))
+            for nid in touched:
+                self._settle(nid, behaviors[nid], slot, True)
             if quiesced is not None and quiesced():
                 res.last_slot = slot
                 res.converged = True
@@ -118,7 +151,56 @@ class Engine:
         res.last_slot = max_slots
         return res
 
+    def _settle(self, nid, beh, slot, held):
+        """File `nid` after its `finish(slot)`: parked, scheduled, or both.
+
+        `held` says the node was finished before its deadline, whose heap
+        entry is still queued.
+        """
+        offset, wake = beh.listen_offset, beh.next_wake
+        entry = None
+        was = self._filed.pop(nid, None)
+        if was is not None:
+            if was[0] != offset:
+                self._calendar[was[0]].discard(nid)
+            if held:
+                entry = was[1]
+        if offset is not None:
+            self._calendar[offset].add(nid)
+            self._filed[nid] = (offset, wake)
+        if entry is not None:
+            self._superseded.add((entry, nid))
+        if wake is not None:
+            if wake <= slot:
+                raise RuntimeError(f"node {nid} rescheduled into the past")
+            # a (slot, id) pair has at most one heap entry: revive a
+            # superseded one rather than queue a second
+            if (wake, nid) in self._superseded:
+                self._superseded.remove((wake, nid))
+            else:
+                heapq.heappush(self._heap, (wake, nid))
+
+    def _drop(self, nid):
+        """A dead node loses its schedule and its place in the calendar; a
+        deadline entry it leaves behind is dropped again when it pops."""
+        beh = self._all[nid]
+        beh.next_wake = beh.listen_offset = None
+        was = self._filed.pop(nid, None)
+        if was is not None:
+            self._calendar[was[0]].discard(nid)
+
+    def _pool(self, slot, awake):
+        """The scheduled nodes plus the live ones parked at the offset of
+        `slot`, in node-id order."""
+        parked = self._calendar[slot % self._cycle]
+        if self.scenario.deaths:
+            for nid in [n for n in parked if not self._alive(n, slot)]:
+                self._drop(nid)
+        return sorted(parked.union(awake)) if parked else awake
+
     def _step(self, slot, awake, behaviors, res):
+        """Run one slot; returns the parked nodes that heard something and
+        were finished off their schedule."""
         positions = self.positions
         range_m = self.scenario.range_m
         trace = self.trace
@@ -130,12 +212,16 @@ class Engine:
                 tx_a.append((frame, self._draw_jitter(nid)))
                 if trace:
                     trace.add(slot, nid, "tx", frame=type(frame).__name__)
+        if not tx_a:
+            # nothing on the air: listening changes no state
+            for nid in awake:
+                behaviors[nid].finish(slot)
+            return ()
         res.frames_sent += len(tx_a)
 
-        listeners_a = _listeners(awake, tx_a)
-        decode_a = (
-            resolve_slot(tx_a, listeners_a, positions, range_m) if tx_a else {}
-        )
+        pool = self._pool(slot, awake)
+        listeners_a = _listeners(pool, tx_a)
+        decode_a = resolve_slot(tx_a, listeners_a, positions, range_m)
 
         tx_b = []
         for nid in listeners_a:
@@ -159,7 +245,7 @@ class Engine:
                     trace.add(slot, nid, "txr", frame=type(resp).__name__)
 
         if tx_b:
-            listeners_b = _listeners(awake, tx_b)
+            listeners_b = _listeners(pool, tx_b)
             decode_b = resolve_slot(tx_b, listeners_b, positions, range_m)
             for nid in listeners_b:
                 got = decode_b.get(nid)
@@ -177,13 +263,23 @@ class Engine:
 
         for nid in awake:
             behaviors[nid].finish(slot)
+        if pool is awake:
+            return ()
+        # a parked listener that decoded a frame or heard a collision is
+        # finished in this slot too
+        touched = [nid for nid in pool if nid not in awake
+                   and (decode_a.get(nid) is not None
+                        or tx_b and decode_b.get(nid) is not None)]
+        for nid in touched:
+            behaviors[nid].finish(slot)
+        return touched
 
 
-def _listeners(awake, transmissions):
-    """Awake nodes that did not transmit in a phase, the sink first: it
+def _listeners(pool, transmissions):
+    """Nodes of `pool` that did not transmit in a phase, the sink first: it
     listens in every processed slot, scheduled or not."""
     tx_ids = {f.src for f, _ in transmissions}
-    out = [n for n in awake if n not in tx_ids and n != SINK]
+    out = [n for n in pool if n not in tx_ids and n != SINK]
     if SINK not in tx_ids:
         out.insert(0, SINK)
     return out

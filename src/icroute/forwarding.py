@@ -102,6 +102,7 @@ class ForwardSink:
 
     def __init__(self, pending: Countdown):
         self.next_wake = None
+        self.listen_offset = None
         self.seen = set()
         self.deliveries = []
         self.duplicates = 0
@@ -147,6 +148,7 @@ class ForwardNode:
         self.pending = pending
         self.state = "recv"
         self.next_wake = placement.offset
+        self.listen_offset = None  # forwarding keeps per-cycle wakes
         # sender side
         self.queue = deque()
         self.matched = False

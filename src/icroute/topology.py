@@ -84,7 +84,7 @@ import math
 from dataclasses import dataclass
 
 from .core import NO_HOP, SINK, AckFrame, ChargingSpec, HopFrame, Scenario
-from .engine import Countdown, Engine, RunResult
+from .engine import Countdown, Engine, RunResult, park_deadline
 from .radio import derive_rng_stream
 
 
@@ -141,6 +141,7 @@ class TopoSink:
     def __init__(self, spec: ChargingSpec):
         self.t = spec.charge_slots
         self.next_wake = self.t
+        self.listen_offset = None
         self.ackers = set()
 
     def poll(self, slot):
@@ -176,6 +177,7 @@ class TopoNode:
         self.known_lower = {}
         self.state = "listen"
         self.next_wake = offset
+        self.listen_offset = None  # set while parked (see `_listen`)
         self.last_update = -1
         self.last_heard = 0
         self.silence_window = node_silence_window(scenario)
@@ -284,6 +286,7 @@ class TopoNode:
             self._enter_cooldown(slot)
 
     def finish(self, slot):
+        self.listen_offset = None
         if self._update_round is not None:
             self._enter_lead(slot, self._update_round, self._update_src)
             self._update_round = None
@@ -298,7 +301,7 @@ class TopoNode:
             if slot + self.cycle >= self._hold_end:
                 self._finish_pass(slot)
             else:
-                self.next_wake = slot + self.cycle
+                self._listen(slot, self._hold_end - self.cycle)
             return
         if self.state == "bcast":
             self._advance_pass(slot)
@@ -315,7 +318,7 @@ class TopoNode:
                 self._enter_bcast()
                 self._lone_pass = True
             else:
-                self.next_wake = slot + self.cycle
+                self._listen(slot, self._quiet_until)
             return
         if self.state == "verify":
             if slot >= self._verify_until:
@@ -324,15 +327,34 @@ class TopoNode:
                 if self._farewells >= FAREWELL_PASSES:
                     self.state = "listen"
                     self._set_done(True)
-                    self.next_wake = slot + self.cycle
+                    self._listen(slot, None)
                 else:
                     self._enter_cooldown(slot)
             else:
-                self.next_wake = slot + self.cycle
+                self._listen(slot, self._verify_until)
             return
         # plain listening
-        self.next_wake = slot + self.cycle
-        self._maybe_probe(slot)
+        if self.hop != NO_HOP or self.done:
+            self._listen(slot, None)
+        elif slot - self.last_heard < self.silence_window:
+            self._listen(slot, self.last_heard + self.silence_window)
+        else:
+            # run a full offset scan: transmit a probe each cycle, delaying
+            # one slot per attempt so every neighbor offset is visited once
+            self.state = "probe"
+            self._probe_attempt = 0
+            self.next_wake = slot + self.cycle
+
+    def _listen(self, slot, until):
+        """Park at this slot's offset (see `icroute.engine`).
+
+        The deadline is the first later slot at this offset that is at
+        least `until`, where the state's own check fires; None waits for
+        frames only.
+        """
+        self.listen_offset = slot % self.cycle
+        self.next_wake = (None if until is None
+                          else park_deadline(slot, until, self.cycle))
 
     # -- transitions ---------------------------------------------------
 
@@ -430,8 +452,11 @@ class TopoNode:
         # listen at our offset, then slip to the next call or first
         # transmission (always at least a cycle ahead)
         target = self._calls[0][0] if self._calls else self._tx_slot
-        self.next_wake = target if target - slot < 2 * self.cycle else slot + self.cycle
-        if self.next_wake == self._tx_slot:
+        if target - slot >= 2 * self.cycle:
+            self._listen(slot, target - 2 * self.cycle + 1)
+            return
+        self.next_wake = target
+        if target == self._tx_slot:
             self.state = "lead"
             self._acked = {}
             self._pass_no += 1
@@ -538,16 +563,6 @@ class TopoNode:
         self.state = "cooldown"
         self._quiet_until = slot + gap * self.cycle
         self.next_wake = slot + 1 + self.cycle
-
-    def _maybe_probe(self, slot):
-        if self.hop != NO_HOP or self.done:
-            return
-        if slot - self.last_heard < self.silence_window:
-            return
-        # run a full offset scan: transmit a probe each cycle, delaying one
-        # slot per attempt so every neighbor offset is visited once
-        self.state = "probe"
-        self._probe_attempt = 0
 
     def _advance_probe(self, slot):
         self._probe_attempt += 1

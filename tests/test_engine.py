@@ -1,10 +1,12 @@
 """Engine contract: the horizon, quiescence before the first slot, dead
-nodes, reschedules into the past, and the unscheduled listening sink."""
+nodes, reschedules into the past, the unscheduled listening sink, and
+nodes parked at their offset."""
 
 import pytest
 
-from icroute.core import SINK, ChargingSpec, DataFrame, NodePlacement, Scenario
-from icroute.engine import Countdown, Engine
+from icroute.core import (SINK, ChargingSpec, DataFrame, HopFrame, NodePlacement,
+                          Scenario)
+from icroute.engine import Countdown, Engine, park_deadline
 from icroute.forwarding import ForwardSink, run_forwarding
 from icroute.radio import EventTrace
 
@@ -23,6 +25,7 @@ class Beacon:
 
     def __init__(self, first, period, frame=None):
         self.next_wake = first
+        self.listen_offset = None
         self.period = period
         self.frame = frame
         self.polled = []
@@ -100,3 +103,107 @@ def test_unscheduled_sink_listens_first():
     # its ack
     assert events == [(1, "tx"), (SINK, "rx"), (SINK, "txr"), (2, "rx"),
                       (1, "rxa"), (2, "rxa")]
+
+
+# line_field runs t=5, a cycle of 6 slots: a sender that first wakes at 9
+# works at offset 3
+HOP = HopFrame(src=1, hop=1, round_no=0)
+
+
+class Burst(Beacon):
+    """Sends HOP in each slot of `slots`, then stops."""
+
+    def __init__(self, slots):
+        super().__init__(slots[0], None, HOP)
+        self.slots = list(slots[1:])
+
+    def finish(self, slot):
+        self.next_wake = self.slots.pop(0) if self.slots else None
+
+
+class Parked(Beacon):
+    """Parked at `offset` from the start; each finish takes the next
+    deadline from `plan` and stays parked (None: no deadline)."""
+
+    def __init__(self, offset, plan=()):
+        super().__init__(first=None, period=None)
+        self.listen_offset = offset
+        self.plan = list(plan)
+        self.next_wake = self.plan.pop(0) if self.plan else None
+        self.finished = []
+
+    def finish(self, slot):
+        self.finished.append(slot)
+        self.next_wake = self.plan.pop(0) if self.plan else None
+
+
+def park_run(listener, x=8.0, sends=(9, 15, 21), horizon=40, deaths=None):
+    sc = line_field((1, 5.0), (2, x), deaths=deaths)
+    engine = Engine(sc, {1: Burst(sends), 2: listener}, ForwardSink(Countdown()))
+    return engine, engine.run(horizon)
+
+
+def test_parked_node_hears_without_a_heap_entry():
+    listener = Parked(offset=3)
+    engine = Engine(line_field((1, 5.0), (2, 8.0)),
+                    {1: Burst([9]), 2: listener}, ForwardSink(Countdown()))
+    assert [nid for _, nid in engine._heap] == [1]
+    engine.run(20)
+    assert listener.heard == [(9, HOP)]
+    assert listener.polled == []
+
+
+def test_untouched_parked_node_is_neither_polled_nor_finished():
+    far = Parked(offset=3)  # out of the sender's range
+    park_run(far, x=50.0)
+    assert far.polled == far.finished == far.heard == []
+    other = Parked(offset=4)  # in range, at an offset nobody sends on
+    park_run(other)
+    assert other.polled == other.finished == other.heard == []
+
+
+def test_touched_parked_node_is_finished_in_that_slot():
+    listener = Parked(offset=3)
+    park_run(listener)
+    assert [slot for slot, _ in listener.heard] == [9, 15, 21]
+    assert listener.finished == [9, 15, 21]
+    assert listener.polled == []
+
+
+def test_deadline_is_the_first_slot_at_the_offset_not_before_until():
+    assert park_deadline(9, 10, 6) == 15
+    assert park_deadline(9, 15, 6) == 15
+    assert park_deadline(9, 3, 6) == 15  # always after the slot itself
+    assert park_deadline(9, 28, 6) == 33
+    listener = Parked(offset=3, plan=[park_deadline(3, 10, 6)])
+    park_run(listener, sends=(1, 7))  # at offset 1: never heard
+    assert listener.polled == listener.finished == [15]
+
+
+def test_superseded_deadline_does_not_finish_twice():
+    # each frame heard moves the deadline, between 33 and 39: only the
+    # last one set fires, once
+    listener = Parked(offset=3, plan=[33, 39, 33, 39])
+    engine, _ = park_run(listener, sends=(9, 15, 21), horizon=50)
+    assert listener.finished == [9, 15, 21, 39]
+    assert listener.polled == [39]
+    assert not engine._superseded
+
+
+def test_parked_and_scheduled_listeners_hear_in_node_id_order():
+    sc = line_field((1, 5.0), (2, 6.0), (3, 7.0), (4, 8.0))
+    behaviors = {1: Burst([9]), 2: Parked(offset=3), 3: Beacon(9, 100),
+                 4: Parked(offset=3)}
+    trace = EventTrace()
+    Engine(sc, behaviors, ForwardSink(Countdown()), trace=trace).run(20)
+    assert [(e.node, e.kind) for e in trace.events] == [
+        (1, "tx"), (SINK, "rx"), (2, "rx"), (3, "rx"), (4, "rx")]
+
+
+def test_dead_parked_node_never_listens_again():
+    listener = Parked(offset=3)
+    engine, _ = park_run(listener, deaths={2: 12})
+    assert listener.heard == [(9, HOP)]
+    assert listener.finished == [9]
+    assert listener.listen_offset is None and listener.next_wake is None
+    assert all(2 not in ids for ids in engine._calendar)

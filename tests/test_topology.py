@@ -99,7 +99,10 @@ def test_relay_anchor_is_a_round_past_half_a_pass():
     node._enter_lead(100, round_no=1, src=7)
     assert node._anchor == 124 and node._v0 == 0
     assert node.state == "lead_wait"
-    assert node.next_wake == 106  # listen at our offset until the anchor
+    # parked at our offset until the first slot there within two cycles
+    # of the anchor
+    assert node.listen_offset == 4
+    assert node.next_wake == 118
 
 
 def test_relay_late_joiner_starts_at_the_first_round_ahead():
