@@ -3,8 +3,9 @@
 Each grid point (shape, nodes, t) maps one field and forwards one round
 of messages under every strategy; the sha256 of every exported file is
 pinned.  The grid is square/rectangle x (n50 t5, n50 t50, n100 t5, n50
-t120); t=120 is where listening nodes sit out the most slots.  `rics`
-also writes its event trace.  A digest may change only with a behaviour
+t120); t=120 is where listening nodes sit out the most slots.  The
+mapping phase's event trace is pinned as `topology/trace.ndjson`, and
+`rics` also writes its forwarding trace.  A digest may change only with a behaviour
 change, and CHANGES.md must then say which bytes moved and why.
 """
 
@@ -15,12 +16,14 @@ import pytest
 
 from icroute.baselines import STRATEGIES
 from icroute.experiments import ExperimentConfig, generate_scenario, run_experiment
+from icroute.radio import EventTrace
 from icroute.topology import build_topology
 
 TRACED = "rics"
 
 GOLDEN = {
     ("square", 50, 5): {
+        "topology/trace.ndjson": "cfe6929b5838d92687af75638ae6ef974aa97c0dde1bcfa5299db5516afa5e61",
         "topology.json": "17bbcfbed014f70cfb06ea71bab21d107b1b45a1d04ecd27cef0511926ff7435",
         "rics/messages.csv": "5adc0c4be1d4e216585fb1ebdb591e638c78bdee29d21baa404ffeffca510481",
         "rics/summary.json": "ba9786bb4c65a353644f3b5778459fc7ddb471ba097301b54f870a8ad0f39b2a",
@@ -33,6 +36,7 @@ GOLDEN = {
         "otps/summary.json": "12d1b709bad2a13af3bd6c31931c1f49ee378eafbc781ad3ba977cd943670576",
     },
     ("square", 50, 50): {
+        "topology/trace.ndjson": "325f1ebd7c7633cf23fcec2ea2eb6d9378a188204030e7133d094d84e283e00f",
         "topology.json": "ab337581efb8d5083d9217249eeb9546d2e03494fcd9866816dd87fcf5a9c8c9",
         "rics/messages.csv": "ace2005e7cf3bc6d8dad3aeb9001fc13122f8ff4ca1464e52eada6f2932ba148",
         "rics/summary.json": "ca6da0e58d4c043c36566c0aef5f64a8e31117c716fe92367d574d9499509104",
@@ -45,6 +49,7 @@ GOLDEN = {
         "otps/summary.json": "d9b55af5e05439095a890a68e599be75b7a76bfdfabc52fcf07adf4cc29f529a",
     },
     ("rectangle", 50, 5): {
+        "topology/trace.ndjson": "07e296d670c028cbabacf4671bef7a9836d5ed9d4a1cf8f9f6fb3f57b01dc459",
         "topology.json": "5892b258cbd058b3d067a4dc34413c3bfa2f76bd5b55de33e43c22d770fff44c",
         "rics/messages.csv": "e452829db04774413189d0f77f8c4c02b9fd9278bbaa68be46a84ebd8545335d",
         "rics/summary.json": "9bdfb0c06c485a79b6c1c8cc0319baf3c070fb02e99342f22c878d8de3117eac",
@@ -57,6 +62,7 @@ GOLDEN = {
         "otps/summary.json": "ef1d2e718d1b3995b6acdff7ab235ae15c3393f99709ccde3421d7103a6d652c",
     },
     ("rectangle", 50, 50): {
+        "topology/trace.ndjson": "70ff7fde88674e8564a046ccfa9eeb9c56d9c9e2ae5de5d06a8a05eddadaaa7a",
         "topology.json": "36a3b070e4a1bd7721f71051fe15be7cc3a24a90b9d228ac62cee9948249ab7e",
         "rics/messages.csv": "c648f702b9d83dd2a7f82a292e00bbbb82c6518ab87086d51fb20c8ed060c180",
         "rics/summary.json": "484e7ae814a63cf2bdc8441f6036f69208a9bb7711c2394b5692c9db637fa6c0",
@@ -69,6 +75,7 @@ GOLDEN = {
         "otps/summary.json": "005d5448716ebafbb171b0f29710de257c8b9466a4091cfde0e65c87cae1ca84",
     },
     ("square", 100, 5): {
+        "topology/trace.ndjson": "f08c6f6da6fe6af7ce3b3545226067e027652f8196b8563b1ab6c0c2a2db23c1",
         "topology.json": "f67bb542f6bbc2867a6c7ad8c7ef3e17a88094079217126dc6ddbfcf5b7666ba",
         "rics/messages.csv": "49b0c25cd7711952b47c37734867398f9b7eca4735f16c584fceafa62b02bf46",
         "rics/summary.json": "373de5b46b907a523c1e62c3a57fc19708c69116fbec0dfdf5236e63f141d577",
@@ -81,6 +88,7 @@ GOLDEN = {
         "otps/summary.json": "690788198ebbfa33fab84883f893e5808dbd1517fb59c66ba43a6d62d8d190cc",
     },
     ("square", 50, 120): {
+        "topology/trace.ndjson": "69e94bab5df3572a6511573331df06edcddfd371d40dc72408b25516698fcf95",
         "topology.json": "5e30d864a4b3f20debebd132338cd22d698065428763698b17e2290c29a16523",
         "rics/messages.csv": "1da40b4b302e03719a7e974234bf299376b22cedb2cac8cfee16ea105489991c",
         "rics/summary.json": "8c053a785ba4a42a6e05ef21ef7b191c67c7e630e8af515cd35a3f5f19a2a457",
@@ -93,6 +101,7 @@ GOLDEN = {
         "otps/summary.json": "edcff7dc03a41b4315b16315b9899655afbe368901c797dcf07c0f4dcfb0edf6",
     },
     ("rectangle", 100, 5): {
+        "topology/trace.ndjson": "05fd6a408dfa56e22ce72e20ae496271dc42a98855740913d4d0c9b19ab0184d",
         "topology.json": "36e5091b641f022dd3d9b0df4ce2611162ffd84bb9f7e39cba4f61ce3d8b92ca",
         "rics/messages.csv": "a8b1b0093ba78b6a64f19e47a829cb226c4e7dd41d81f62ceec7b2110e55dfe2",
         "rics/summary.json": "e1ec9fff3dfe070d4b18c2f3652d9c416c8cc99493d7b011cfe72543f2176eb1",
@@ -105,6 +114,7 @@ GOLDEN = {
         "otps/summary.json": "db6ac261d8187590e1e6e34bdccc08b5c202b88793d9fa12652ea802b6a6ed98",
     },
     ("rectangle", 50, 120): {
+        "topology/trace.ndjson": "2b4dd787d7fdb5eb97923aa3c387080bc76aae162288454e22b8647c7c3a4981",
         "topology.json": "2eb1128fb6f92e7de50832644827f54a9e0b58f39f43563de848eba421b98f50",
         "rics/messages.csv": "65cdb39ce052f41e1c95287aaabcaea46816d2fc7d0efad12f487864509c5d1c",
         "rics/summary.json": "194e8f3f95e12ce12a37f11a0e95ddf2c6363c7f36f81d9a7159918de173bb83",
@@ -134,8 +144,10 @@ def _grid_param(shape, n, t):
 def test_exports_match_golden_digests(tmp_path, shape, n, t):
     config = ExperimentConfig(shape=shape, n_nodes=n, t=t, rounds=1, seed=11)
     scenario = generate_scenario(config)
-    topo = build_topology(scenario)
-    got = {}
+    topo_trace = EventTrace()
+    topo = build_topology(scenario, trace=topo_trace)
+    got = {"topology/trace.ndjson":
+           hashlib.sha256(topo_trace.ndjson().encode()).hexdigest()}
     for strategy in STRATEGIES:
         cfg = ExperimentConfig(shape=shape, n_nodes=n, t=t, strategy=strategy,
                                rounds=1, seed=11)
