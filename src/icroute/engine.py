@@ -21,10 +21,11 @@ Node behaviors are plain objects with:
     on_busy(slot)      -> None; optional carrier-sense hook, called when a
                           listener saw colliding energy it could not decode
 
-A behavior has one live heap entry while its `next_wake` is set, and it
-is polled and finished in the slots it scheduled; `finish` must move
-`next_wake` past the slot or clear it.  A node that is dead at its wake
-loses its schedule.
+Every finished node is filed again: its `next_wake`, which `finish`
+must move past the slot or clear, is queued as a (slot, id) heap entry.
+That `next_wake` is the only record of a deadline: a popped entry is
+live only while it equals it, and only once per slot.  A live node is
+polled and finished; a node that is dead at its wake loses its schedule.
 
 A behavior that only listens parks instead of waking every cycle: it
 sets `listen_offset` to the offset of its working slots and `next_wake`
@@ -34,10 +35,10 @@ in a calendar whose year is one cycle (offset -> parked ids).  A parked
 node listens in every processed slot at its offset without being
 polled, and it is finished only at its deadline or in a slot where it
 got `on_data`, `on_ack` or `on_busy`; its `finish` then parks it again
-or schedules it.  A deadline that such a `finish` moved is superseded:
-its heap entry is skipped, so the live one stays unique.  A parked node
-found dead leaves the calendar and never listens again.  A parked node
-never makes the engine process a slot before its deadline.
+or schedules it, and the deadline entry it leaves queued is no longer
+live.  A parked node found dead leaves the calendar and never listens
+again.  A parked node never makes the engine process a slot before its
+deadline.
 
 The sink is mains powered, so it listens in every processed slot,
 first among the listeners of both phases, whether or not it scheduled
@@ -89,11 +90,10 @@ class Engine:
         }
         self._cycle = scenario.spec.cycle
         self._calendar = [set() for _ in range(self._cycle)]  # offset -> ids
-        self._filed = {}  # parked id -> (offset, deadline)
-        self._superseded = set()  # (slot, id) heap entries to skip
+        self._filed = {}  # parked id -> offset
         self._heap = []
-        for nid, beh in self._all.items():
-            self._settle(nid, beh, -1, False)
+        self._stale = False  # True once an early finish may leave a stale entry
+        self._file(self._all, -1)
 
     def _alive(self, nid, slot):
         died = self.scenario.deaths.get(nid)
@@ -114,36 +114,27 @@ class Engine:
             return res
         heap = self._heap
         behaviors = self._all
-        filed = self._filed
-        superseded = self._superseded
         deaths = self.scenario.deaths
+        stale = self._stale
         while heap and heap[0][0] <= max_slots:
             slot = heap[0][0]
             awake = []
             while heap and heap[0][0] == slot:
-                entry = heapq.heappop(heap)
-                nid = entry[1]
-                if superseded and entry in superseded:
-                    superseded.remove(entry)
-                elif not deaths or self._alive(nid, slot):
+                nid = heapq.heappop(heap)[1]
+                if stale and (behaviors[nid].next_wake != slot
+                              or awake and awake[-1] == nid):
+                    continue
+                if not deaths or self._alive(nid, slot):
                     awake.append(nid)
                 else:
                     self._drop(nid)
             if not awake:
                 continue
             touched = self._step(slot, awake, behaviors, res)
-            for nid in awake:
-                beh = behaviors[nid]
-                if beh.listen_offset is not None or nid in filed:
-                    self._settle(nid, beh, slot, False)
-                    continue
-                wake = beh.next_wake
-                if wake is not None:
-                    if wake <= slot:
-                        raise RuntimeError(f"node {nid} rescheduled into the past")
-                    heapq.heappush(heap, (wake, nid))
-            for nid in touched:
-                self._settle(nid, behaviors[nid], slot, True)
+            self._file(awake, slot)
+            if touched:
+                stale = self._stale = True
+                self._file(touched, slot)
             if quiesced is not None and quiesced():
                 res.last_slot = slot
                 res.converged = True
@@ -151,43 +142,37 @@ class Engine:
         res.last_slot = max_slots
         return res
 
-    def _settle(self, nid, beh, slot, held):
-        """File `nid` after its `finish(slot)`: parked, scheduled, or both.
-
-        `held` says the node was finished before its deadline, whose heap
-        entry is still queued.
-        """
-        offset, wake = beh.listen_offset, beh.next_wake
-        entry = None
-        was = self._filed.pop(nid, None)
-        if was is not None:
-            if was[0] != offset:
-                self._calendar[was[0]].discard(nid)
-            if held:
-                entry = was[1]
-        if offset is not None:
-            self._calendar[offset].add(nid)
-            self._filed[nid] = (offset, wake)
-        if entry is not None:
-            self._superseded.add((entry, nid))
-        if wake is not None:
-            if wake <= slot:
-                raise RuntimeError(f"node {nid} rescheduled into the past")
-            # a (slot, id) pair has at most one heap entry: revive a
-            # superseded one rather than queue a second
-            if (wake, nid) in self._superseded:
-                self._superseded.remove((wake, nid))
-            else:
-                heapq.heappush(self._heap, (wake, nid))
+    def _file(self, ids, slot):
+        """Queue each node's `next_wake` after its `finish(slot)`, and move
+        it in the calendar to its `listen_offset`."""
+        behaviors = self._all
+        filed = self._filed
+        calendar = self._calendar
+        heap = self._heap
+        for nid in ids:
+            beh = behaviors[nid]
+            offset = beh.listen_offset
+            was = filed.pop(nid, None)
+            if was is not None and was != offset:
+                calendar[was].discard(nid)
+            if offset is not None:
+                calendar[offset].add(nid)
+                filed[nid] = offset
+            wake = beh.next_wake
+            if wake is not None:
+                if wake <= slot:
+                    raise RuntimeError(f"node {nid} rescheduled into the past")
+                heapq.heappush(heap, (wake, nid))
 
     def _drop(self, nid):
         """A dead node loses its schedule and its place in the calendar; a
-        deadline entry it leaves behind is dropped again when it pops."""
+        deadline entry it leaves behind finds it dead, or not live, when it
+        pops."""
         beh = self._all[nid]
         beh.next_wake = beh.listen_offset = None
         was = self._filed.pop(nid, None)
         if was is not None:
-            self._calendar[was[0]].discard(nid)
+            self._calendar[was].discard(nid)
 
     def _pool(self, slot, awake):
         """The scheduled nodes plus the live ones parked at the offset of

@@ -65,19 +65,6 @@ def geometric_latency(o_s: int, o_r: int, p: float, spec: ChargingSpec, rng,
     return None
 
 
-def mean_scan_latency(spec: ChargingSpec, trials: int, rng) -> float:
-    """Monte-Carlo mean of the deterministic scan over uniform offset pairs."""
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    t = spec.charge_slots
-    total = 0
-    for _ in range(trials):
-        o_s = rng.randint(0, t)
-        o_r = rng.randint(0, t)
-        total += closed_form_latency(o_s, o_r, spec)
-    return total / trials
-
-
 def expected_scan_latency(spec: ChargingSpec) -> float:
     """Analytic mean of closed_form_latency under uniform offsets."""
     t = spec.charge_slots

@@ -103,15 +103,11 @@ def max_hop_estimate(scenario: Scenario) -> int:
     return max(1, math.ceil(diag / scenario.range_m))
 
 
-def probe_silence_window(scenario: Scenario, max_hop: int | None = None) -> int:
-    t = scenario.spec.charge_slots
-    n = max_hop if max_hop is not None else max_hop_estimate(scenario)
-    return (t + 1) * (t + 2) * n
-
-
 def node_silence_window(scenario: Scenario) -> int:
-    """Silence a node waits out before it probes."""
-    return probe_silence_window(scenario, DEPTH_SLACK * max_hop_estimate(scenario))
+    """Silence a node waits out before it probes: one full offset scan,
+    (t+1)(t+2) slots, per hop of DEPTH_SLACK hop estimates."""
+    t = scenario.spec.charge_slots
+    return (t + 1) * (t + 2) * DEPTH_SLACK * max_hop_estimate(scenario)
 
 
 @dataclass
@@ -278,8 +274,7 @@ class TopoNode:
     def _heard_activity(self, slot):
         """The channel is clearly not quiet: slide or void quiet-dependent state."""
         if self.state == "cooldown":
-            gap = self.rng.randrange(self.t + 1, 2 * self.t + 3)
-            self._quiet_until = max(self._quiet_until, slot + gap * self.cycle)
+            self._quiet_until = max(self._quiet_until, self._quiet_end(slot))
         elif self.state == "verify":
             # the farewell pass ran against live traffic, so it proves
             # nothing; try again once the channel drains
@@ -311,11 +306,8 @@ class TopoNode:
             return
         if self.state == "cooldown":
             if slot >= self._quiet_until:
-                # the channel has stayed quiet: run a farewell pass from
-                # a re-randomized rotation start
-                rho = self.rng.randrange(self.cycle)
-                self.next_wake = slot + self.cycle + 1 + rho
-                self._enter_bcast()
+                # the channel has stayed quiet: run a farewell pass
+                self._enter_bcast(slot)
                 self._lone_pass = True
             else:
                 self._listen(slot, self._quiet_until)
@@ -504,8 +496,10 @@ class TopoNode:
         self._tx_slot = None
         self.state = "lead_hold"
 
-    def _enter_bcast(self):
-        """Start a retry or farewell pass (see the module docstring)."""
+    def _enter_bcast(self, slot):
+        """Start a retry or farewell pass (see the module docstring) from a
+        re-randomized rotation start."""
+        self.next_wake = slot + self.cycle + 1 + self.rng.randrange(self.cycle)
         self.state = "bcast"
         self._round = 0
         self._pass_no += 1
@@ -553,16 +547,17 @@ class TopoNode:
             # ackers have dried up: cooldown, then prove it with farewells
             self._enter_cooldown(slot)
             return
-        # more work to do: another pass from a re-randomized rotation start
-        rho = self.rng.randrange(self.cycle)
-        self.next_wake = slot + self.cycle + 1 + rho
-        self._enter_bcast()
+        # more work to do: another pass
+        self._enter_bcast(slot)
 
     def _enter_cooldown(self, slot):
-        gap = self.rng.randrange(self.t + 1, 2 * self.t + 3)  # in cycles
         self.state = "cooldown"
-        self._quiet_until = slot + gap * self.cycle
+        self._quiet_until = self._quiet_end(slot)
         self.next_wake = slot + 1 + self.cycle
+
+    def _quiet_end(self, slot):
+        """End of a fresh quiet requirement: t+1 to 2t+2 random cycles."""
+        return slot + self.rng.randrange(self.t + 1, 2 * self.t + 3) * self.cycle
 
     def _advance_probe(self, slot):
         self._probe_attempt += 1

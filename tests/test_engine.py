@@ -180,14 +180,36 @@ def test_deadline_is_the_first_slot_at_the_offset_not_before_until():
     assert listener.polled == listener.finished == [15]
 
 
-def test_superseded_deadline_does_not_finish_twice():
-    # each frame heard moves the deadline, between 33 and 39: only the
-    # last one set fires, once
-    listener = Parked(offset=3, plan=[33, 39, 33, 39])
+@pytest.mark.parametrize("plan,last", [
+    pytest.param([33, 39, 33, 39], 39, id="moved"),
+    pytest.param([33, 33, 33, 33], 33, id="unchanged"),
+])
+def test_moved_deadline_does_not_finish_twice(plan, last):
+    # each frame heard sets the deadline again, moved between 33 and 39 or
+    # unchanged: only the last one set fires, once
+    listener = Parked(offset=3, plan=plan)
     engine, _ = park_run(listener, sends=(9, 15, 21), horizon=50)
-    assert listener.finished == [9, 15, 21, 39]
-    assert listener.polled == [39]
-    assert not engine._superseded
+    assert listener.finished == [9, 15, 21, last]
+    assert listener.polled == [last]
+    assert not engine._heap  # every entry, live or not, was consumed
+
+
+def test_node_that_leaves_parking_drops_its_deadline():
+    class Leaver(Parked):
+        """Parked with deadline 39; the first frame heard schedules it at
+        14, off the calendar, and after that it has no wake."""
+
+        def finish(self, slot):
+            self.finished.append(slot)
+            self.next_wake = 14 if self.listen_offset is not None else None
+            self.listen_offset = None
+
+    listener = Leaver(offset=3, plan=[39])
+    engine, _ = park_run(listener, sends=(9, 15, 21), horizon=50)
+    assert listener.heard == [(9, HOP)]
+    assert listener.polled == [14]
+    assert listener.finished == [9, 14]
+    assert all(2 not in ids for ids in engine._calendar)
 
 
 def test_parked_and_scheduled_listeners_hear_in_node_id_order():

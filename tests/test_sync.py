@@ -1,6 +1,7 @@
 """Alignment scan behavior against brute-force oracles."""
 
 import random
+from statistics import fmean
 
 import pytest
 
@@ -14,7 +15,6 @@ from icroute.sync import (
     find_best_p,
     geometric_baseline_step,
     geometric_latency,
-    mean_scan_latency,
     sample_latencies,
 )
 
@@ -154,13 +154,8 @@ def test_mean_latency_tracks_analytic():
     for t, expect in cases.items():
         spec = ChargingSpec(t)
         assert expected_scan_latency(spec) == expect
-        got = mean_scan_latency(spec, trials=10_000, rng=random.Random(7))
+        got = fmean(sample_latencies(spec, 10_000, random.Random(7)))
         assert abs(got - expect) / expect < 0.02
-
-
-def test_mean_latency_rejects_zero_trials():
-    with pytest.raises(ValueError):
-        mean_scan_latency(ChargingSpec(5), trials=0, rng=random.Random(0))
 
 
 def test_geometric_step_validates_p():

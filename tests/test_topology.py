@@ -5,12 +5,13 @@ from icroute.core import ChargingSpec, NO_HOP, NodePlacement, SINK, Scenario
 from icroute.engine import Countdown
 from icroute.radio import EventTrace
 from icroute.topology import (
+    DEPTH_SLACK,
     TopoNode,
     TopoSink,
     bfs_hops,
     build_topology,
     max_hop_estimate,
-    probe_silence_window,
+    node_silence_window,
     verify_least_hop,
 )
 
@@ -198,10 +199,10 @@ def test_max_hop_estimate_scales_with_diagonal():
 
 
 def test_probe_silence_window_formula():
-    # 6 x 7 x max_hop slots of silence before a node starts probing
+    # 6 x 7 slots of silence per hop of DEPTH_SLACK hop estimates before
+    # a node starts probing
     sc = line_scenario(2, spacing=90, range_m=100.0, t=5)
-    assert probe_silence_window(sc, max_hop=10) == 420
-    assert probe_silence_window(sc) == 6 * 7 * max_hop_estimate(sc)
+    assert node_silence_window(sc) == 6 * 7 * DEPTH_SLACK * max_hop_estimate(sc)
 
 
 def test_probe_scan_rotates_like_a_sync_scan():
