@@ -3,7 +3,8 @@
 Each grid point (shape, nodes, t) maps one field and forwards one round
 of messages under every strategy; the sha256 of every exported file is
 pinned.  The grid is square/rectangle x (n50 t5, n50 t50, n100 t5, n50
-t120); t=120 is where listening nodes sit out the most slots.  The
+t120), plus square n50 t500, the sparsest wakes; at t=120 and t=500
+listening nodes sit out the most slots.  The
 mapping phase's event trace is pinned as `topology/trace.ndjson`, and
 `rics` also writes its forwarding trace.  A digest may change only with a behaviour
 change, and CHANGES.md must then say which bytes moved and why.
@@ -99,6 +100,19 @@ GOLDEN = {
         "rncs/summary.json": "babe43aaa821b1b49100d58d64c1bd0add7c0a8cdd29830caac4d6d99681e48a",
         "otps/messages.csv": "1c93b39075f134c0a47a015fd4039b946c79c935c8971822e3fee38191806645",
         "otps/summary.json": "edcff7dc03a41b4315b16315b9899655afbe368901c797dcf07c0f4dcfb0edf6",
+    },
+    ("square", 50, 500): {
+        "topology/trace.ndjson": "2a2ba9055a41e1e0d236b03d0b02b11d34a788db2063e6c0e7f35fa9e1b2646b",
+        "topology.json": "e42dd5e7af3c95a7e39394ed44776e0e34653f79630259230d31ce17b20aa755",
+        "rics/messages.csv": "aba44e0fbb9884f204db8f396c66fc53e1d9596a6ef444b3d9065c0c14524588",
+        "rics/summary.json": "1537d5e96e1b1d2f1b4c173c72bbfa34a21fdf36c2b8f42df386b3e8111e8b20",
+        "rics/trace.ndjson": "b0baab5824192a69bd5e8e3d1fe1e44f946e7d893f5d2903da9f8797b259aabb",
+        "fxcs/messages.csv": "47e277d46fc0891a131a5e43721dd0a2767c807e02d170703caef37b31d6b2a9",
+        "fxcs/summary.json": "881b71925406dfa3c9a92e6dc70feaf1424799849d27ed771378098c4cf592e0",
+        "rncs/messages.csv": "907ccdf5710365ecbf71303b47dea83338ea45371886fd67bad07a97da9da7f2",
+        "rncs/summary.json": "75db409f783af9a958c18730eac966d97d697b526466ea40596fa9b9d922283c",
+        "otps/messages.csv": "68a21fa13839566254dab951e78b3d3e00d58b874755b9a146dedc5285aa377e",
+        "otps/summary.json": "78fafee6f143e1472f287e7c848de8caf134f2b7b7b1e546dcf3b1bbb6c3bd85",
     },
     ("rectangle", 100, 5): {
         "topology/trace.ndjson": "05fd6a408dfa56e22ce72e20ae496271dc42a98855740913d4d0c9b19ab0184d",
