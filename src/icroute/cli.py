@@ -65,9 +65,15 @@ def load_settings(args: argparse.Namespace) -> dict:
     if args.config:
         with open(args.config) as fh:
             loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise ValueError(f"{args.config}: expected a JSON object")
         unknown = set(loaded) - set(DEFAULTS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in loaded.items():
+            want = type(DEFAULTS[key])  # bool is not taken for int
+            if type(value) is not want and (want, type(value)) != (float, int):
+                raise ValueError(f"config key {key!r} must be {want.__name__}, not {value!r}")
         settings.update(loaded)
     for key in DEFAULTS:
         value = getattr(args, key)

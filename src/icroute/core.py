@@ -9,6 +9,7 @@ offset o is awake in every slot s with s % cycle == o.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 # Reserved id for the mains-powered collection point.  Every other node id
@@ -135,6 +136,19 @@ class Scenario:
         for p in self.nodes:
             pos[p.node_id] = (p.x, p.y)
         return pos
+
+    def neighbors(self) -> dict[int, frozenset]:
+        """The unit disk graph, the package's only in-range test: node id
+        (the sink under `SINK`) -> ids within `range_m`, boundary
+        inclusive, never the node itself.  Built per call, not cached."""
+        pos = list(self.positions().items())
+        near = {nid: set() for nid, _ in pos}
+        for i, (a, pa) in enumerate(pos):
+            for b, pb in pos[i + 1:]:
+                if math.dist(pa, pb) <= self.range_m:
+                    near[a].add(b)
+                    near[b].add(a)
+        return {nid: frozenset(ids) for nid, ids in near.items()}
 
     def offsets(self) -> dict[int, int]:
         return {p.node_id: p.offset for p in self.nodes}

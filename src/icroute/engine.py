@@ -7,7 +7,8 @@ so the observable behavior matches naive slot-by-slot stepping.
 Each processed slot has two contention phases: a data phase where awake
 nodes may transmit one frame, and an ack phase where nodes that decoded a
 data frame may answer.  Half duplex holds per phase, so a data transmitter
-can still hear the ack phase of the same slot.
+can still hear the ack phase of the same slot.  `resolve_slot` arbitrates
+each phase over the disk graph `Scenario.neighbors()`, built once per run.
 
 Node behaviors are plain objects with:
     next_wake          absolute slot of the next working slot, or None
@@ -82,7 +83,7 @@ class Engine:
     def __init__(self, scenario: Scenario, behaviors, sink, trace=None):
         self.scenario = scenario
         self.trace = trace
-        self.positions = scenario.positions()
+        self.neighbors = scenario.neighbors()  # the disk graph, for this run
         self._all = {**behaviors, SINK: sink}  # node id -> behavior
         self._jitter = {
             nid: derive_rng_stream(scenario.seed, nid, "jitter")
@@ -186,8 +187,6 @@ class Engine:
     def _step(self, slot, awake, behaviors, res):
         """Run one slot; returns the parked nodes that heard something and
         were finished off their schedule."""
-        positions = self.positions
-        range_m = self.scenario.range_m
         trace = self.trace
 
         tx_a = []
@@ -206,7 +205,7 @@ class Engine:
 
         pool = self._pool(slot, awake)
         listeners_a = _listeners(pool, tx_a)
-        decode_a = resolve_slot(tx_a, listeners_a, positions, range_m)
+        decode_a = resolve_slot(tx_a, listeners_a, self.neighbors)
 
         tx_b = []
         for nid in listeners_a:
@@ -231,7 +230,7 @@ class Engine:
 
         if tx_b:
             listeners_b = _listeners(pool, tx_b)
-            decode_b = resolve_slot(tx_b, listeners_b, positions, range_m)
+            decode_b = resolve_slot(tx_b, listeners_b, self.neighbors)
             for nid in listeners_b:
                 got = decode_b.get(nid)
                 if got is COLLISION:

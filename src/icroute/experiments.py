@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 from .baselines import STRATEGIES, build_policies
 from .core import NO_HOP, SINK, ChargingSpec, NodePlacement, Scenario
 from .forwarding import ForwardResult, message_slot, run_forwarding
-from .radio import EventTrace, derive_rng_stream, within_range
+from .radio import EventTrace, derive_rng_stream
 from .sync import expected_scan_latency
 from .topology import TopoResult, bfs_hops, build_topology
 
@@ -102,23 +102,12 @@ def generate_scenario(config: ExperimentConfig, rng=None) -> Scenario:
         )
         if all(h != NO_HOP for h in bfs_hops(scenario).values()):
             return scenario
-    degree = _mean_degree(scenario)
+    near = scenario.neighbors()
+    degree = sum(map(len, near.values())) / len(near)
     raise SparseAreaError(
         f"area too sparse: no connected draw in {MAX_PLACEMENT_TRIES} tries "
         f"(n={config.n_nodes}, range={config.range_m}m, "
         f"area={width:g}x{height:g}m, mean degree={degree:.2f})")
-
-
-def _mean_degree(scenario: Scenario) -> float:
-    pos = scenario.positions()
-    ids = list(pos)
-    total = sum(
-        1
-        for i, a in enumerate(ids)
-        for b in ids[i + 1:]
-        if within_range(pos[a], pos[b], scenario.range_m)
-    )
-    return 2.0 * total / len(ids) if ids else 0.0
 
 
 def compute_cdf(delivery_times: list, created: int | None = None) -> list:

@@ -1,16 +1,17 @@
-"""Unit-disk propagation, sub-slot jitter arbitration, and seeded RNG streams.
+"""Sub-slot jitter arbitration over the disk graph, and seeded RNG streams.
 
-Every transmission in a slot carries a jitter drawn from [0, MICRO_SLOTS).
-An awake listener decodes the in-range frame with the strictly smallest
-jitter; a shared minimum destroys all of them for that listener.  The rule
-is a pure function of its inputs, which keeps whole runs reproducible.
+Who hears whom is fixed by `Scenario.neighbors()`, the unit disk graph
+of a deployment; this module only reads it.  Every transmission in a
+slot carries a jitter drawn from [0, MICRO_SLOTS).  An awake listener
+decodes the frame of its neighbor with the strictly smallest jitter; a
+shared minimum destroys all of them for that listener.  The rule is a
+pure function of its inputs, which keeps whole runs reproducible.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 import random
 from dataclasses import dataclass, field
 
@@ -18,17 +19,14 @@ COLLISION = object()  # decode result marker: energy heard, nothing decoded
 MICRO_SLOTS = 16  # jitter values a transmission draws from
 
 
-def within_range(a: tuple[float, float], b: tuple[float, float], range_m: float) -> bool:
-    """Boundary-inclusive unit-disk test."""
-    return math.dist(a, b) <= range_m
-
-
-def resolve_slot(transmissions, listeners, positions, range_m):
+def resolve_slot(transmissions, listeners, neighbors):
     """Arbitrate one contention phase of a slot.
 
     transmissions: list of (frame, jitter) with frame.src identifying the
-    transmitter.  listeners: iterable of node ids.  Returns a dict mapping
-    each listener to a decoded frame, COLLISION, or None.  A node that
+    transmitter.  listeners: iterable of node ids.  neighbors: the disk
+    graph, node id -> ids in range (`Scenario.neighbors()`); a listener
+    hears only the transmitters in its set.  Returns a dict mapping each
+    listener to a decoded frame, COLLISION, or None.  A node that
     transmitted in this phase never decodes in it (half duplex); callers
     normally exclude transmitters from `listeners`, and the guard here
     backs them up.
@@ -39,23 +37,18 @@ def resolve_slot(transmissions, listeners, positions, range_m):
         if lid in tx_ids:
             out[lid] = None
             continue
-        lpos = positions[lid]
+        near = neighbors[lid]
         best = None
         best_jitter = None
         tied = False
         for frame, jitter in transmissions:
-            if not within_range(positions[frame.src], lpos, range_m):
+            if frame.src not in near:
                 continue
             if best_jitter is None or jitter < best_jitter:
                 best, best_jitter, tied = frame, jitter, False
             elif jitter == best_jitter:
                 tied = True
-        if best is None:
-            out[lid] = None
-        elif tied:
-            out[lid] = COLLISION
-        else:
-            out[lid] = best
+        out[lid] = COLLISION if tied else best
     return out
 
 

@@ -609,24 +609,18 @@ def build_topology(scenario: Scenario, max_slots: int | None = None,
 
 def bfs_hops(scenario: Scenario) -> dict:
     """Reference least-hop counts over the disk graph, sink at hop 0."""
-    pos = scenario.positions()
-    ids = [p.node_id for p in scenario.nodes]
-    hops = {nid: NO_HOP for nid in ids}
+    near = scenario.neighbors()
+    hops = {p.node_id: NO_HOP for p in scenario.nodes}
     frontier = [SINK]
     level = 0
-    seen = {SINK}
     while frontier:
         level += 1
         nxt = []
-        for nid in ids:
-            if nid in seen:
-                continue
-            if any(
-                math.dist(pos[nid], pos[f]) <= scenario.range_m for f in frontier
-            ):
-                hops[nid] = level
-                nxt.append(nid)
-        seen.update(nxt)
+        for f in frontier:
+            for nid in near[f]:
+                if hops.get(nid) == NO_HOP:
+                    hops[nid] = level
+                    nxt.append(nid)
         frontier = nxt
     return hops
 
@@ -634,7 +628,7 @@ def bfs_hops(scenario: Scenario) -> dict:
 def verify_least_hop(result: TopoResult, scenario: Scenario) -> list:
     """Return human-readable discrepancies against the reference hops."""
     want = bfs_hops(scenario)
-    pos = scenario.positions()
+    near = scenario.neighbors()
     problems = []
     for nid, hop in result.hops.items():
         if hop != want[nid]:
@@ -646,7 +640,7 @@ def verify_least_hop(result: TopoResult, scenario: Scenario) -> list:
         if parent is None:
             problems.append(f"node {nid}: no next hop")
             continue
-        if math.dist(pos[nid], pos[parent]) > scenario.range_m:
+        if parent not in near[nid]:
             problems.append(f"node {nid}: next hop {parent} out of range")
             continue
         parent_hop = 0 if parent == SINK else result.hops.get(parent, NO_HOP)

@@ -47,6 +47,29 @@ def test_unknown_config_key_raises(tmp_path):
         load_settings(parse("--config", str(cfg)))
 
 
+def test_config_int_is_accepted_for_float_slot_ms(tmp_path):
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({"slot_ms": 2}))
+    assert load_settings(parse("--config", str(cfg)))["slot_ms"] == 2
+
+
+@pytest.mark.parametrize("loaded", [
+    {"repeat": "2"}, {"nodes": "50"}, {"nodes": 50.0}, {"seed": True},
+    {"trace": 1}, {"slot_ms": "1"}, {"out": None}, 5, ["t"],
+], ids=repr)
+def test_wrong_typed_config_exits_2(tmp_path, capsys, loaded):
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps(loaded))
+    with pytest.raises(ValueError):
+        load_settings(parse("--config", str(cfg)))
+    rc = main(["--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("icroute:")
+    assert "Traceback" not in err
+    assert os.listdir(tmp_path) == ["exp.json"]  # no run was written
+
+
 def test_bad_repeat_raises():
     with pytest.raises(ValueError):
         load_settings(parse("--repeat", "0"))

@@ -1,6 +1,8 @@
 import math
 import random
 
+from hypothesis import given, settings, strategies as st
+
 from icroute.core import ChargingSpec, NO_HOP, NodePlacement, SINK, Scenario
 from icroute.engine import Countdown
 from icroute.radio import EventTrace
@@ -67,6 +69,20 @@ def test_bfs_matches_relaxation_reference():
     for seed in range(6):
         sc = random_scenario(18, 400, 400, 120, t=5, seed=seed)
         assert bfs_hops(sc) == relaxed_hops(sc)
+
+
+# integer coordinates and ranges put many pairs exactly on the boundary
+coords = st.integers(0, 40).map(float)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.lists(st.tuples(coords, coords), min_size=1, max_size=15),
+       st.integers(1, 30).map(float) | st.floats(1.0, 30.0))
+def test_bfs_matches_relaxation_on_drawn_placements(points, range_m):
+    nodes = [NodePlacement(i, x, y, 0) for i, (x, y) in enumerate(points[1:])]
+    sc = Scenario(ChargingSpec(1), nodes, sink_xy=points[0], range_m=range_m,
+                  width=40.0, height=40.0)
+    assert bfs_hops(sc) == relaxed_hops(sc)
 
 
 def test_bfs_unreachable_is_no_hop():
