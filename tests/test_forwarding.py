@@ -3,8 +3,10 @@ driven slot by slot against hand-computed traces, receiver locking, and
 end-to-end runs on small lines."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from icroute import forwarding
+from icroute.baselines import FixedHopPolicy
 from icroute.core import (
     AckFrame,
     ChargingSpec,
@@ -197,6 +199,42 @@ def test_matched_failure_holds_then_rescans(monkeypatch):
     assert sent and sent[0][0] == 81
     assert sent[0][0] in node.scan_attempt_slots
     assert sent[0][0] % 6 == 3  # base 2 plus one, a fresh first attempt
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(t=st.integers(1, 8), base=st.integers(0, 8), rounds=st.integers(1, 4),
+       fixed=st.booleans(), acks=st.lists(st.booleans(), max_size=40))
+def test_sender_wakes_follow_the_pendulum(t, base, rounds, fixed, acks):
+    # a lone sender, its i-th frame acked iff acks[i]: a scan steps one
+    # slot per miss, a matched session stays on base + offset_cache, and
+    # every way back to listening lands on base
+    spec = make_spec(t)
+    cycle = spec.cycle
+    base %= cycle
+    policy = FixedHopPolicy(PEER) if fixed else CachedPolicy()
+    placement = NodePlacement(node_id=1, x=0.0, y=0.0, offset=base)
+    node = ForwardNode(placement, spec, policy, hop=2, rounds=rounds,
+                       pending=Countdown(rounds))
+    frames = 0
+    last = {}  # state -> slot of its previous wake in the current session
+    while node.next_wake is not None and node.next_wake <= base + 200 * cycle:
+        slot, state = node.next_wake, node.state
+        if state in last:
+            gap = slot - last[state]
+            assert gap == (cycle + 1 if state == "scan" else cycle), (state, gap)
+        if state == "send":
+            assert slot % cycle == (base + node.offset_cache) % cycle
+        frame = node.poll(slot)
+        if state == "scan":
+            assert frame is not None  # a scan always has a message to try
+        if frame is not None:
+            if frames < len(acks) and acks[frames]:
+                node.on_ack(slot, AckFrame(src=PEER, ack_dst=node.id))
+            frames += 1
+        node.finish(slot)
+        last = {node.state: slot} if node.state == state else {}
+        if state in ("scan", "send") and node.state in ("recv", "hold"):
+            assert node.next_wake % cycle == base
 
 
 # -- receiver rules --------------------------------------------------------

@@ -1,10 +1,13 @@
 """Golden exports: the same seed must keep giving the same bytes.
 
-Each grid point (shape, nodes, t) maps one field and forwards one round
-of messages under every strategy; the sha256 of every exported file is
-pinned.  The grid is square/rectangle x (n50 t5, n50 t50, n100 t5, n50
-t120), plus square n50 t500, the sparsest wakes; at t=120 and t=500
-listening nodes sit out the most slots.  The
+Each grid point (shape, nodes, t, rounds) maps one field and forwards
+`rounds` messages per node under every strategy; the sha256 of every
+exported file is pinned.  The grid is square/rectangle x (n50 t5, n50
+t50, n100 t5, n50 t120) at one round, plus square n50 t500, the sparsest
+wakes; at t=120 and t=500 listening nodes sit out the most slots.  One
+round never fills a queue, so square n100 t5 also runs 10 rounds, the
+benchmark's busy_relay shape, where senders miss, fail and find full
+queues (`EXERCISED` checks that they do).  The
 mapping phase's event trace is pinned as `topology/trace.ndjson`, and
 `rics` also writes its forwarding trace.  A digest may change only with a behaviour
 change, and CHANGES.md must then say which bytes moved and why.
@@ -23,7 +26,7 @@ from icroute.topology import build_topology
 TRACED = "rics"
 
 GOLDEN = {
-    ("square", 50, 5): {
+    ("square", 50, 5, 1): {
         "topology/trace.ndjson": "cfe6929b5838d92687af75638ae6ef974aa97c0dde1bcfa5299db5516afa5e61",
         "topology.json": "17bbcfbed014f70cfb06ea71bab21d107b1b45a1d04ecd27cef0511926ff7435",
         "rics/messages.csv": "5adc0c4be1d4e216585fb1ebdb591e638c78bdee29d21baa404ffeffca510481",
@@ -36,7 +39,7 @@ GOLDEN = {
         "otps/messages.csv": "16c8096e510ff5cb2a501b4dc70cebf14bd3e3ac6332a2d48015f59c6183950a",
         "otps/summary.json": "12d1b709bad2a13af3bd6c31931c1f49ee378eafbc781ad3ba977cd943670576",
     },
-    ("square", 50, 50): {
+    ("square", 50, 50, 1): {
         "topology/trace.ndjson": "325f1ebd7c7633cf23fcec2ea2eb6d9378a188204030e7133d094d84e283e00f",
         "topology.json": "ab337581efb8d5083d9217249eeb9546d2e03494fcd9866816dd87fcf5a9c8c9",
         "rics/messages.csv": "ace2005e7cf3bc6d8dad3aeb9001fc13122f8ff4ca1464e52eada6f2932ba148",
@@ -49,7 +52,7 @@ GOLDEN = {
         "otps/messages.csv": "f56b7dae5aa630b4c85e8c434d3bb6acb3ab2c7c0c184c1cd5bff11ef407c4bb",
         "otps/summary.json": "d9b55af5e05439095a890a68e599be75b7a76bfdfabc52fcf07adf4cc29f529a",
     },
-    ("rectangle", 50, 5): {
+    ("rectangle", 50, 5, 1): {
         "topology/trace.ndjson": "07e296d670c028cbabacf4671bef7a9836d5ed9d4a1cf8f9f6fb3f57b01dc459",
         "topology.json": "5892b258cbd058b3d067a4dc34413c3bfa2f76bd5b55de33e43c22d770fff44c",
         "rics/messages.csv": "e452829db04774413189d0f77f8c4c02b9fd9278bbaa68be46a84ebd8545335d",
@@ -62,7 +65,7 @@ GOLDEN = {
         "otps/messages.csv": "f9ef140f7a7aca9767047c2f3d9df7f9ad7a65399a7f7e65419a04739d4e6fb0",
         "otps/summary.json": "ef1d2e718d1b3995b6acdff7ab235ae15c3393f99709ccde3421d7103a6d652c",
     },
-    ("rectangle", 50, 50): {
+    ("rectangle", 50, 50, 1): {
         "topology/trace.ndjson": "70ff7fde88674e8564a046ccfa9eeb9c56d9c9e2ae5de5d06a8a05eddadaaa7a",
         "topology.json": "36a3b070e4a1bd7721f71051fe15be7cc3a24a90b9d228ac62cee9948249ab7e",
         "rics/messages.csv": "c648f702b9d83dd2a7f82a292e00bbbb82c6518ab87086d51fb20c8ed060c180",
@@ -75,7 +78,7 @@ GOLDEN = {
         "otps/messages.csv": "c648f702b9d83dd2a7f82a292e00bbbb82c6518ab87086d51fb20c8ed060c180",
         "otps/summary.json": "005d5448716ebafbb171b0f29710de257c8b9466a4091cfde0e65c87cae1ca84",
     },
-    ("square", 100, 5): {
+    ("square", 100, 5, 1): {
         "topology/trace.ndjson": "f08c6f6da6fe6af7ce3b3545226067e027652f8196b8563b1ab6c0c2a2db23c1",
         "topology.json": "f67bb542f6bbc2867a6c7ad8c7ef3e17a88094079217126dc6ddbfcf5b7666ba",
         "rics/messages.csv": "49b0c25cd7711952b47c37734867398f9b7eca4735f16c584fceafa62b02bf46",
@@ -88,7 +91,7 @@ GOLDEN = {
         "otps/messages.csv": "6e22d42f09c218f749c4281efe514074bbbd585d00b945add529d4516f8547e1",
         "otps/summary.json": "690788198ebbfa33fab84883f893e5808dbd1517fb59c66ba43a6d62d8d190cc",
     },
-    ("square", 50, 120): {
+    ("square", 50, 120, 1): {
         "topology/trace.ndjson": "69e94bab5df3572a6511573331df06edcddfd371d40dc72408b25516698fcf95",
         "topology.json": "5e30d864a4b3f20debebd132338cd22d698065428763698b17e2290c29a16523",
         "rics/messages.csv": "1da40b4b302e03719a7e974234bf299376b22cedb2cac8cfee16ea105489991c",
@@ -101,7 +104,7 @@ GOLDEN = {
         "otps/messages.csv": "1c93b39075f134c0a47a015fd4039b946c79c935c8971822e3fee38191806645",
         "otps/summary.json": "edcff7dc03a41b4315b16315b9899655afbe368901c797dcf07c0f4dcfb0edf6",
     },
-    ("square", 50, 500): {
+    ("square", 50, 500, 1): {
         "topology/trace.ndjson": "2a2ba9055a41e1e0d236b03d0b02b11d34a788db2063e6c0e7f35fa9e1b2646b",
         "topology.json": "e42dd5e7af3c95a7e39394ed44776e0e34653f79630259230d31ce17b20aa755",
         "rics/messages.csv": "aba44e0fbb9884f204db8f396c66fc53e1d9596a6ef444b3d9065c0c14524588",
@@ -114,7 +117,7 @@ GOLDEN = {
         "otps/messages.csv": "68a21fa13839566254dab951e78b3d3e00d58b874755b9a146dedc5285aa377e",
         "otps/summary.json": "78fafee6f143e1472f287e7c848de8caf134f2b7b7b1e546dcf3b1bbb6c3bd85",
     },
-    ("rectangle", 100, 5): {
+    ("rectangle", 100, 5, 1): {
         "topology/trace.ndjson": "05fd6a408dfa56e22ce72e20ae496271dc42a98855740913d4d0c9b19ab0184d",
         "topology.json": "36e5091b641f022dd3d9b0df4ce2611162ffd84bb9f7e39cba4f61ce3d8b92ca",
         "rics/messages.csv": "a8b1b0093ba78b6a64f19e47a829cb226c4e7dd41d81f62ceec7b2110e55dfe2",
@@ -127,7 +130,7 @@ GOLDEN = {
         "otps/messages.csv": "83da79bc7f7324ea52ec50043c1cb2803bf5cb4c337300ebccc4a48ba59ed70a",
         "otps/summary.json": "db6ac261d8187590e1e6e34bdccc08b5c202b88793d9fa12652ea802b6a6ed98",
     },
-    ("rectangle", 50, 120): {
+    ("rectangle", 50, 120, 1): {
         "topology/trace.ndjson": "2b4dd787d7fdb5eb97923aa3c387080bc76aae162288454e22b8647c7c3a4981",
         "topology.json": "2eb1128fb6f92e7de50832644827f54a9e0b58f39f43563de848eba421b98f50",
         "rics/messages.csv": "65cdb39ce052f41e1c95287aaabcaea46816d2fc7d0efad12f487864509c5d1c",
@@ -140,6 +143,28 @@ GOLDEN = {
         "otps/messages.csv": "65cdb39ce052f41e1c95287aaabcaea46816d2fc7d0efad12f487864509c5d1c",
         "otps/summary.json": "e5d8f8e1c79950a0a1b4bd4a53b0560f1c8dcd8ec05640fbcd798dd46fcf51f2",
     },
+    ("square", 100, 5, 10): {
+        "topology/trace.ndjson": "f08c6f6da6fe6af7ce3b3545226067e027652f8196b8563b1ab6c0c2a2db23c1",
+        "topology.json": "f67bb542f6bbc2867a6c7ad8c7ef3e17a88094079217126dc6ddbfcf5b7666ba",
+        "rics/messages.csv": "d95d8d6494529561e11229a689fdf18b445d3cd8506ad1cf6b1ff60756968d01",
+        "rics/summary.json": "d8197edb5ea97efc19173775910c07d4b128632c024022f605f52eda44dac566",
+        "rics/trace.ndjson": "b04f33a5b6ffc32ab2cf9c58606c82cde25416003d9b4de1c7c1b2ddb20b2ccf",
+        "fxcs/messages.csv": "ab8d434b935187e96ecb6f6bccab4d9cb477a2e7f05b64b2115b0ce895f3a074",
+        "fxcs/summary.json": "1e2ff2a8cbc4af57190954a137054472870914ec0450c4cb6658abc1a220ca21",
+        "rncs/messages.csv": "f2020e7738658a419b3fce3fa8a5ebe467837256fb2fe2d502ff2fec47d94825",
+        "rncs/summary.json": "076e345aa718d2f3467ef7f3b8aa3e638a6f9301eb667c78cf08d41caa0aa576",
+        "otps/messages.csv": "0ee482e2593e93dd17c3d65c26c867f38b4b0ada02b175dd1902725a56bda619",
+        "otps/summary.json": "b25023d71a470aa957dacefc1b6fcf58b0fd7e00ce95baa3c9a2746a06c19260",
+    },
+}
+
+# Forwarding counters that must be nonzero at a grid point, so that its
+# digests cover the sender's miss, failure and full-queue paths.
+EXERCISED = {
+    ("square", 100, 5, 10): {
+        "rics": ("failures", "stale_breaks", "forced_exits", "dropped_full"),
+        "fxcs": ("forced_exits",),
+    },
 }
 
 
@@ -148,15 +173,18 @@ def _sha256(path):
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _grid_param(shape, n, t):
-    # the n50 points keep their original ids
-    return pytest.param(shape, n, t,
-                        id=f"{shape}-{t}" if n == 50 else f"{shape}-n{n}-{t}")
+def _grid_param(shape, n, t, rounds):
+    # the n50 and one-round points keep their original ids
+    name = f"{shape}-{t}" if n == 50 else f"{shape}-n{n}-{t}"
+    return pytest.param(shape, n, t, rounds,
+                        id=name if rounds == 1 else f"{name}-r{rounds}")
 
 
-@pytest.mark.parametrize("shape,n,t", [_grid_param(*p) for p in sorted(GOLDEN)])
-def test_exports_match_golden_digests(tmp_path, shape, n, t):
-    config = ExperimentConfig(shape=shape, n_nodes=n, t=t, rounds=1, seed=11)
+@pytest.mark.parametrize("shape,n,t,rounds",
+                         [_grid_param(*p) for p in sorted(GOLDEN)])
+def test_exports_match_golden_digests(tmp_path, shape, n, t, rounds):
+    config = ExperimentConfig(shape=shape, n_nodes=n, t=t, rounds=rounds,
+                              seed=11)
     scenario = generate_scenario(config)
     topo_trace = EventTrace()
     topo = build_topology(scenario, trace=topo_trace)
@@ -164,13 +192,15 @@ def test_exports_match_golden_digests(tmp_path, shape, n, t):
            hashlib.sha256(topo_trace.ndjson().encode()).hexdigest()}
     for strategy in STRATEGIES:
         cfg = ExperimentConfig(shape=shape, n_nodes=n, t=t, strategy=strategy,
-                               rounds=1, seed=11)
+                               rounds=rounds, seed=11)
         result = run_experiment(cfg, scenario=scenario, topo=topo,
                                 trace=strategy == TRACED)
+        for counter in EXERCISED.get((shape, n, t, rounds), {}).get(strategy, ()):
+            assert getattr(result.forward, counter) > 0, (strategy, counter)
         for path in result.export(str(tmp_path)):
             name = os.path.basename(path)
             key = name if name == "topology.json" else f"{strategy}/{name}"
             digest = _sha256(path)
             # every strategy exports the one shared topology
             assert got.setdefault(key, digest) == digest, key
-    assert got == GOLDEN[(shape, n, t)]
+    assert got == GOLDEN[(shape, n, t, rounds)]
