@@ -112,7 +112,11 @@ def main(argv=None) -> int:
         return 2
 
     if settings["sync_bench"]:
-        print(sync_bench(settings["t"], settings["seed"]))
+        try:
+            print(sync_bench(settings["t"], settings["seed"]))
+        except ValueError as exc:
+            print(f"icroute: {exc}", file=sys.stderr)
+            return 1
         return 0
 
     for i in range(settings["repeat"]):
@@ -127,10 +131,10 @@ def main(argv=None) -> int:
                 slot_ms=settings["slot_ms"],
             )
             result = run_experiment(config, trace=settings["trace"])
-        except (SparseAreaError, ValueError) as exc:
+            result.export(settings["out"])
+        except (SparseAreaError, ValueError, OSError) as exc:
             print(f"icroute: {exc}", file=sys.stderr)
             return 1
-        result.export(settings["out"])
         summary = result.summary()
         p50 = summary["delivery_quantiles_slots"]["p50"]
         print(f"{config.label()}: topo {summary['topo_time_slots']} slots, "

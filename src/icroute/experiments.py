@@ -74,14 +74,13 @@ class ExperimentConfig:
                 f"-{self.strategy}-r{self.rounds}-s{self.seed}")
 
 
-def generate_scenario(config: ExperimentConfig, rng=None) -> Scenario:
+def generate_scenario(config: ExperimentConfig) -> Scenario:
     """Drop nodes uniformly until the radio graph reaches everyone.
 
     Deterministic per seed; gives up with a diagnostic after
     MAX_PLACEMENT_TRIES disconnected draws.
     """
-    if rng is None:
-        rng = derive_rng_stream(config.seed, SINK, "scenario")
+    rng = derive_rng_stream(config.seed, SINK, "scenario")
     width, height = config.dims
     spec = ChargingSpec(charge_slots=config.t)
     scenario = None
@@ -170,12 +169,9 @@ class ExperimentResult:
                 ])
         return rows
 
-    def latencies(self) -> list:
-        return self.forward.latencies
-
     def summary(self) -> dict:
         cfg = self.config
-        lats = self.latencies()
+        lats = self.forward.latencies
         scale = cfg.slot_ms / 1000.0
         qs = {}
         qs_seconds = {}

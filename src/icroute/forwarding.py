@@ -1,10 +1,13 @@
 """Store-and-forward messaging over cached working-time alignment.
 
-A node with traffic swings its working slot forward one position per
-cycle until the next hop acks, then parks on the matched position and
-drains its queue one message per cycle.  The swing amount is cached, so
-later batches jump straight to the match; the reverse swing returns the
-node to its original offset when the queue empties.
+A node with traffic becomes a sender, and every sender wake ends in
+`ForwardNode._finish_sender`.  A scan (`scan`) tries one message per
+cycle and postpones its working slot one position per miss; an ack
+settles the match, and a matched session (`send`) stays put.  The swing
+`offset_forth` is the one record of how far the node has moved, and the
+cached match `offset_cache` is that swing within a cycle, so later
+batches jump straight to it.  A full cycle of misses, or an empty
+queue, swings the node back to its base offset.
 
 Receivers lock onto a sender for the duration of a marked batch, which
 keeps two candidate relays from both adopting the same traffic: the
@@ -153,16 +156,13 @@ class ForwardNode:
         self.queue = deque()
         self.matched = False
         self.next_hop = None
-        self.offset_cache = 0
-        self.send_attempts = 0
-        self.offset_forth = 0
+        self.offset_forth = 0  # the swing: slots postponed since base
         self.scan_target = None
         self._batch_acked = False
         self._in_flight = None
         self._got_ack = False
         self._flew_end = False
-        self._acker = None
-        self._send_misses = 0
+        self._misses = 0  # unacked frames since the last ack or sender entry
         self._hold_until = None
         # receiver side
         self.id_match = None
@@ -174,11 +174,15 @@ class ForwardNode:
         # counters for tests and summaries
         self.scan_attempt_slots = []
         self.match_slots = []
-        self.batches = 0
         self.dropped_full = 0
         self.stale_breaks = 0
         self.forced_exits = 0
         self.failures = 0
+
+    @property
+    def offset_cache(self):
+        """The cached match: the swing, within one cycle."""
+        return self.offset_forth % self.cycle
 
     # -- sender machinery ----------------------------------------------
 
@@ -186,7 +190,6 @@ class ForwardNode:
         if self.state not in ("scan", "send") or not self.queue:
             return None
         if self.state == "scan":
-            self.send_attempts += 1
             self.offset_forth += 1
             self.scan_attempt_slots.append(slot)
         msg = self.queue.popleft()
@@ -210,7 +213,7 @@ class ForwardNode:
             return
         if self._in_flight is not None:
             self._got_ack = True
-            self._acker = frame.src
+            self.next_hop = frame.src
 
     # -- receiver machinery --------------------------------------------
 
@@ -290,10 +293,8 @@ class ForwardNode:
         self._generate(slot)
         if self.state == "recv":
             self._finish_recv(slot)
-        elif self.state == "scan":
-            self._finish_scan(slot)
-        elif self.state == "send":
-            self._finish_send(slot)
+        elif self.state in ("scan", "send"):
+            self._finish_sender(slot)
         elif self.state == "hold":
             self._finish_hold(slot)
         else:
@@ -318,54 +319,21 @@ class ForwardNode:
             self.next_wake = slot + self.cycle
 
     def _enter_sender(self, slot):
-        self.batches += 1
-        self._batch_acked = False
-        self._send_misses = 0
-        if self.matched:
-            self.state = "send"
-            self.next_wake = slot + self.cycle + self.offset_cache
+        if not self.matched:
+            self._start_scan(slot, 0)
             return
+        self.state = "send"
+        self._batch_acked = False
+        self._misses = 0
+        self.next_wake = slot + self.cycle + self.offset_cache
+
+    def _start_scan(self, slot, displacement):
         self.state = "scan"
         self.scan_target = self.policy.scan_target(self)
-        self.send_attempts = 0
-        self.offset_forth = 0
+        self.offset_forth = displacement
+        self._batch_acked = False
+        self._misses = 0
         self.next_wake = slot + self.cycle + 1  # first try one slot late
-
-    def _finish_scan(self, slot):
-        if self._in_flight is None:
-            # nothing flew: either the scan is exhausted or the queue
-            # drained; swing back to the base offset
-            self.state = "recv"
-            self.send_attempts = 0
-            self.next_wake = slot + self.cycle + swing_back(self.offset_forth, self.spec)
-            return
-        if self._got_ack:
-            self._settle_match(slot)
-            self.next_wake = slot + self.cycle  # stay on the matched offset
-            self._in_flight = None
-            self.policy.after_send(self, slot)
-            return
-        self.queue.append(self._in_flight)
-        self._in_flight = None
-        if self.send_attempts >= self.cycle:
-            # full circle, nobody answered; swing back and listen a while
-            self.state = "recv"
-            self.send_attempts = 0
-            self.next_wake = slot + self.cycle + swing_back(self.offset_forth, self.spec)
-            self.policy.on_scan_exhausted(self)
-        else:
-            self.next_wake = slot + self.cycle + 1
-
-    def _settle_match(self, slot):
-        self.matched = True
-        self.match_slots.append(slot)
-        self.next_hop = self._acker
-        self.offset_cache = self.offset_forth % self.cycle
-        # an acked closing frame ends the batch; anything generated later
-        # in this session opens a new one so receivers re-lock cleanly
-        self._batch_acked = not self._flew_end
-        self._send_misses = 0
-        self.state = "send"
 
     def resync(self, slot):
         """Forget the live match and align again before the next message.
@@ -375,42 +343,53 @@ class ForwardNode:
         residue with a fresh attempt budget, and the next frame opens a
         new batch.
         """
-        displacement = self.offset_cache % self.cycle
+        displacement = self.offset_cache
         self.clear_match()
-        self.state = "scan"
-        self.scan_target = self.policy.scan_target(self)
-        self.send_attempts = 0
-        self.offset_forth = displacement
-        self._batch_acked = False
-        self.next_wake = slot + self.cycle + 1
+        self._start_scan(slot, displacement)
 
-    def _finish_send(self, slot):
-        if self._in_flight is None:
-            # queue empty: the batch is done, swing back to base
+    def _finish_sender(self, slot):
+        """Wrap up one sender wake, scanning (`scan`) or matched (`send`);
+        see the module docstring."""
+        msg, self._in_flight = self._in_flight, None
+        if msg is None:
+            # queue empty, so the batch is done (a scan always has one)
             self.state = "recv"
-            self.next_wake = slot + self.cycle + swing_back(self.offset_cache, self.spec)
+            self.next_wake = self._wake_at_base(slot)
             self.policy.after_batch(self)
             return
         if self._got_ack:
+            if self.state == "scan":
+                self.state = "send"
+                self.matched = True
+                self.match_slots.append(slot)
+            # an acked closing frame ends the batch; anything generated
+            # later in this session opens a new one so receivers re-lock
             self._batch_acked = not self._flew_end
-            self._send_misses = 0
-            self.next_hop = self._acker
+            self._misses = 0
             self.next_wake = slot + self.cycle
-            self._in_flight = None
             self.policy.after_send(self, slot)
             return
-        self.queue.append(self._in_flight)
-        self._send_misses += 1
-        if self._send_misses >= self.cycle:
-            self._matched_failure(slot)
+        self.queue.append(msg)
+        self._misses += 1
+        if self._misses < self.cycle:
+            # a scan tries one slot later each cycle; a match stays put
+            self.next_wake = slot + self.cycle + (1 if self.state == "scan" else 0)
+        elif self.state == "scan":
+            # full circle, nobody answered; swing back and listen a while
+            self.state = "recv"
+            self.next_wake = self._wake_at_base(slot)
+            self.policy.on_scan_exhausted(self)
         else:
-            self.next_wake = slot + self.cycle
-        self._in_flight = None
+            self._matched_failure(slot)
+
+    def _wake_at_base(self, slot):
+        """Next wake on the base offset, at least a cycle after `slot`."""
+        return slot + self.cycle + swing_back(self.offset_forth, self.spec)
 
     def _matched_failure(self, slot):
         self.failures += 1
         wait = self.policy.failure_wait(self)
-        self.next_wake = slot + self.cycle + swing_back(self.offset_cache, self.spec)
+        self.next_wake = self._wake_at_base(slot)
         self.clear_match()
         if wait > 0:
             self.state = "hold"
@@ -428,7 +407,7 @@ class ForwardNode:
     def clear_match(self):
         self.matched = False
         self.next_hop = None
-        self.offset_cache = 0
+        self.offset_forth = 0
 
 
 @dataclass

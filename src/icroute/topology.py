@@ -138,7 +138,6 @@ class TopoSink:
         self.t = spec.charge_slots
         self.next_wake = self.t
         self.listen_offset = None
-        self.ackers = set()
 
     def poll(self, slot):
         if self.t <= slot <= 2 * self.t:
@@ -149,8 +148,7 @@ class TopoSink:
         return None
 
     def on_ack(self, slot, frame):
-        if isinstance(frame, AckFrame) and frame.ack_dst == SINK:
-            self.ackers.add(frame.src)
+        return None
 
     def finish(self, slot):
         self.next_wake = slot + 1 if slot < 2 * self.t else None
@@ -161,7 +159,6 @@ class TopoNode:
 
     def __init__(self, node_id, offset, spec, scenario, pending: Countdown):
         self.id = node_id
-        self.spec = spec
         self.t = spec.charge_slots
         self.cycle = spec.cycle
         self.round_len = spec.cycle + 1  # slots per rotation round
@@ -182,7 +179,6 @@ class TopoNode:
         self.done = False
         pending.value += 1
         # lead pass bookkeeping
-        self._update_src = None
         self._anchor = None  # slot of locked round 0
         self._v0 = 0  # first locked round transmitted
         self._vround = 0  # locked round of the current transmission
@@ -224,7 +220,6 @@ class TopoNode:
             self.known_lower[frame.src] = frame.hop
             self.last_heard = slot
         if frame.hop != NO_HOP and frame.hop + 1 < self.hop:
-            self._update_src = frame.src
             self.hop = frame.hop + 1
             self.next_hop = frame.src
             self.last_update = slot
@@ -283,7 +278,7 @@ class TopoNode:
     def finish(self, slot):
         self.listen_offset = None
         if self._update_round is not None:
-            self._enter_lead(slot, self._update_round, self._update_src)
+            self._enter_lead(slot, self._update_round, self.next_hop)
             self._update_round = None
             return
         if self.state == "lead_wait":
@@ -575,23 +570,21 @@ class TopoNode:
         self.next_wake = slot + self.cycle + 1
 
 
-def build_topology(scenario: Scenario, max_slots: int | None = None,
-                   trace=None) -> TopoResult:
+def build_topology(scenario: Scenario, trace=None) -> TopoResult:
     pending = Countdown()
     nodes = {
         p.node_id: TopoNode(p.node_id, p.offset, scenario.spec, scenario, pending)
         for p in scenario.nodes
     }
     sink = TopoSink(scenario.spec)
-    if max_slots is None:
-        t = scenario.spec.charge_slots
-        window = node_silence_window(scenario)
-        # probe scans, passes, and the worst case where every farewell
-        # (cooldown, randomized pass, verify window) serializes behind
-        # its neighbors' quiet requirements
-        max_slots = (PROBE_SCANS + 1) * window \
-            + (PROBE_SCANS + 4) * (t + 1) * (t + 2) \
-            + len(scenario.nodes) * FAREWELL_PASSES * 6 * (t + 1) * (t + 1)
+    t = scenario.spec.charge_slots
+    window = node_silence_window(scenario)
+    # probe scans, passes, and the worst case where every farewell
+    # (cooldown, randomized pass, verify window) serializes behind its
+    # neighbors' quiet requirements
+    max_slots = (PROBE_SCANS + 1) * window \
+        + (PROBE_SCANS + 4) * (t + 1) * (t + 2) \
+        + len(scenario.nodes) * FAREWELL_PASSES * 6 * (t + 1) * (t + 1)
     engine = Engine(scenario, nodes, sink, trace=trace)
     run = engine.run(max_slots, quiesced=lambda: pending.value == 0)
     topo_time = max((n.last_update for n in nodes.values()), default=-1)

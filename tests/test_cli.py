@@ -111,3 +111,23 @@ def test_impossible_config_exits_1(tmp_path, capsys):
     rc = main(["--nodes", "0", "--t", "5", "--out", str(tmp_path)])
     assert rc == 1
     assert "icroute:" in capsys.readouterr().err
+
+
+def test_bad_sync_bench_t_exits_1(capsys):
+    rc = main(["--sync-bench", "--t", "0"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("icroute:")
+    assert "Traceback" not in err
+
+
+def test_out_naming_a_file_exits_1(tmp_path, capsys):
+    taken = tmp_path / "runs"
+    taken.write_text("")
+    rc = main(["--nodes", "50", "--t", "5", "--rounds", "1", "--seed", "11",
+               "--out", str(taken)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("icroute:")
+    assert str(taken) in err  # the export failed, not the run
+    assert "Traceback" not in err

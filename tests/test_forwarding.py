@@ -101,7 +101,6 @@ def test_scan_attempt_slots_walk_one_ahead_each_cycle(monkeypatch):
     node = make_node(rounds=2)
     sent = drive(node, until=28)
     assert [s for s, _ in sent] == [15, 22]
-    assert node.send_attempts == 2
     assert node.offset_forth == 2
     assert swing_back(node.offset_forth, node.spec) == 4
 

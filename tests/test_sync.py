@@ -115,7 +115,7 @@ def run_scan(node, ack_attempt=None):
         node.finish(node.next_wake)
     while node.state == "scan":
         slot = node.next_wake
-        if node.poll(slot) is not None and node.send_attempts == ack_attempt:
+        if node.poll(slot) is not None and node.offset_forth == ack_attempt:
             node.on_ack(slot, AckFrame(src=0, ack_dst=node.id))
         node.finish(slot)
     return node.scan_attempt_slots
