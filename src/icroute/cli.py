@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+import tempfile
 
 from .baselines import STRATEGIES
 from .core import ChargingSpec
@@ -118,6 +120,15 @@ def main(argv=None) -> int:
             print(f"icroute: {exc}", file=sys.stderr)
             return 1
         return 0
+
+    try:
+        # an unusable --out fails here, not after the first simulation
+        os.makedirs(settings["out"], exist_ok=True)
+        with tempfile.TemporaryFile(dir=settings["out"]):
+            pass
+    except OSError as exc:
+        print(f"icroute: {exc}", file=sys.stderr)
+        return 1
 
     for i in range(settings["repeat"]):
         try:

@@ -57,6 +57,11 @@ from .core import SINK, Scenario
 from .radio import COLLISION, MICRO_SLOTS, derive_rng_stream, resolve_slot
 
 
+# randrange(MICRO_SLOTS) draws this many bits and redraws a value out of
+# range; `Engine._draw_jitter` does the same without randrange's checks
+_JITTER_BITS = MICRO_SLOTS.bit_length()
+
+
 def park_deadline(slot, until, cycle):
     """First slot after `slot`, at its offset, that is at least `until`."""
     first = max(until, slot + 1)
@@ -85,8 +90,8 @@ class Engine:
         self.trace = trace
         self.neighbors = scenario.neighbors()  # the disk graph, for this run
         self._all = {**behaviors, SINK: sink}  # node id -> behavior
-        self._jitter = {
-            nid: derive_rng_stream(scenario.seed, nid, "jitter")
+        self._jitter = {  # node id -> getrandbits of its jitter stream
+            nid: derive_rng_stream(scenario.seed, nid, "jitter").getrandbits
             for nid in self._all
         }
         self._cycle = scenario.spec.cycle
@@ -101,7 +106,11 @@ class Engine:
         return died is None or slot < died
 
     def _draw_jitter(self, nid):
-        return self._jitter[nid].randrange(MICRO_SLOTS)
+        bits = self._jitter[nid]
+        while True:
+            r = bits(_JITTER_BITS)
+            if r < MICRO_SLOTS:
+                return r
 
     def run(self, max_slots: int, quiesced=None) -> RunResult:
         """Advance until `quiesced()` holds or `max_slots` is exceeded.

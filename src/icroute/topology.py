@@ -278,7 +278,7 @@ class TopoNode:
     def finish(self, slot):
         self.listen_offset = None
         if self._update_round is not None:
-            self._enter_lead(slot, self._update_round, self.next_hop)
+            self._enter_lead(slot, self._update_round)
             self._update_round = None
             return
         if self.state == "lead_wait":
@@ -367,8 +367,8 @@ class TopoNode:
         """First locked round at least a cycle after `start`."""
         return max(0, math.ceil((start + self.cycle - anchor) / self.round_len))
 
-    def _enter_lead(self, slot, round_no, src):
-        """Anchor a lead pass after learning a hop from `src`'s frame.
+    def _enter_lead(self, slot, round_no):
+        """Anchor a lead pass after learning a hop from `next_hop`'s frame.
 
         The anchor is the relay anchor (`_relay_anchor`), or after the
         sink's pass our next working slot.  We listen until the first
@@ -382,7 +382,7 @@ class TopoNode:
         self._calls = self._plan_calls(slot)
         self._acked = {}
         start = self._calls[-1][0] if self._calls else slot
-        if src == SINK:
+        if self.next_hop == SINK:
             self._anchor = slot + self.cycle
         else:
             self._anchor = self._relay_anchor(slot, round_no)

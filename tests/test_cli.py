@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from icroute import cli
 from icroute.cli import DEFAULTS, build_parser, load_settings, main
 
 
@@ -130,4 +131,17 @@ def test_out_naming_a_file_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("icroute:")
     assert str(taken) in err  # the export failed, not the run
+    assert "Traceback" not in err
+
+
+def test_unusable_out_is_rejected_before_any_run(tmp_path, capsys, monkeypatch):
+    ran = []
+    monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: ran.append(a))
+    taken = tmp_path / "runs"
+    taken.write_text("")
+    rc = main(["--nodes", "50", "--t", "500", "--out", str(taken / "deeper")])
+    assert rc == 1
+    assert ran == []
+    err = capsys.readouterr().err
+    assert err.startswith("icroute:") and str(taken) in err
     assert "Traceback" not in err

@@ -1,14 +1,18 @@
 """Engine contract: the horizon, quiescence before the first slot, dead
-nodes, reschedules into the past, the unscheduled listening sink, and
-nodes parked at their offset."""
+nodes, reschedules into the past, the unscheduled listening sink, the
+jitter draw, and nodes parked at their offset, forwarding receivers
+among them."""
+
+import dataclasses
 
 import pytest
 
+from icroute import forwarding
 from icroute.core import (SINK, ChargingSpec, DataFrame, HopFrame, NodePlacement,
                           Scenario)
 from icroute.engine import Countdown, Engine, park_deadline
-from icroute.forwarding import ForwardSink, run_forwarding
-from icroute.radio import EventTrace
+from icroute.forwarding import CachedPolicy, ForwardNode, ForwardSink, run_forwarding
+from icroute.radio import MICRO_SLOTS, EventTrace, derive_rng_stream
 
 
 def line_field(*nodes, deaths=None):
@@ -103,6 +107,20 @@ def test_unscheduled_sink_listens_first():
     # its ack
     assert events == [(1, "tx"), (SINK, "rx"), (SINK, "txr"), (2, "rx"),
                       (1, "rxa"), (2, "rxa")]
+
+
+def test_jitter_draws_are_randrange_draws():
+    # every exported byte rests on the engine drawing exactly what
+    # randrange(MICRO_SLOTS) draws from each node's jitter stream
+    for seed in range(40):
+        sc = dataclasses.replace(line_field((1, 5.0), (2, 8.0)), seed=seed)
+        engine = Engine(sc, {1: Beacon(0, 3), 2: Beacon(0, 3)},
+                        ForwardSink(Countdown()))
+        ref = {nid: derive_rng_stream(seed, nid, "jitter")
+               for nid in (1, 2, SINK)}
+        for _ in range(200):
+            for nid, rng in ref.items():
+                assert engine._draw_jitter(nid) == rng.randrange(MICRO_SLOTS)
 
 
 # line_field runs t=5, a cycle of 6 slots: a sender that first wakes at 9
@@ -229,3 +247,86 @@ def test_dead_parked_node_never_listens_again():
     assert listener.finished == [9]
     assert listener.listen_offset is None and listener.next_wake is None
     assert all(2 not in ids for ids in engine._calendar)
+
+
+# -- idle forwarding receivers park at base --------------------------------
+#
+# A relay (id 1, hop 1, base 3) between the sink and a far node (id 2,
+# hop 2, base 0) that only the relay hears.  The far node's one reading
+# goes out in a scan one slot later each cycle: 7, 14, then 21, the
+# first attempt at the relay's offset.
+
+
+def relay_line(relay_rounds, deaths=None):
+    sc = line_field((1, 5.0), (2, 12.0), deaths=deaths)
+    offsets = {1: 3, 2: 0}
+    pending = Countdown(1 + relay_rounds)
+    nodes = {
+        p.node_id: ForwardNode(dataclasses.replace(p, offset=offsets[p.node_id]),
+                               sc.spec, CachedPolicy(), hop=p.node_id,
+                               rounds=1 if p.node_id == 2 else relay_rounds,
+                               pending=pending)
+        for p in sc.nodes
+    }
+    trace = EventTrace()
+    engine = Engine(sc, nodes, ForwardSink(pending), trace=trace)
+    return engine, nodes[1], nodes[2], trace
+
+
+def test_parked_relay_acks_a_scan_and_starts_its_own_in_that_slot():
+    engine, relay, far, trace = relay_line(relay_rounds=0)
+    engine.run(20)
+    assert relay.state == "recv" and relay.listen_offset == 3
+    assert relay.next_wake is None and 1 in engine._calendar[3]
+    engine.run(21)
+    assert [(e.node, e.kind) for e in trace.events if e.slot == 21] == [
+        (2, "tx"), (1, "rx"), (1, "txr"), (SINK, "rxa"), (2, "rxa")]
+    assert far.matched and far.next_hop == 1
+    assert relay.state == "scan" and relay.next_wake == 21 + 7
+    assert relay.listen_offset is None
+    assert all(1 not in ids for ids in engine._calendar)
+    assert [m.path for m in relay.queue] == [(2, 1)]
+
+
+def test_parked_relay_wakes_when_its_next_reading_is_due(monkeypatch):
+    # one reading per cycle is always made before a receiver goes idle;
+    # readings six cycles apart leave the relay parked between them
+    def sparse(offset, seq, spec):
+        return offset + seq * 6 * spec.cycle
+
+    finished = []
+
+    class Logged(ForwardNode):
+        def finish(self, slot):
+            finished.append(slot)
+            super().finish(slot)
+
+    monkeypatch.setattr(forwarding, "message_slot", sparse)
+    sc = line_field((1, 5.0))
+    placement = dataclasses.replace(sc.nodes[0], offset=3)
+    pending = Countdown(2)
+    relay = Logged(placement, sc.spec, CachedPolicy(), hop=1, rounds=2,
+                   pending=pending)
+    sink = ForwardSink(pending)
+    engine = Engine(sc, {1: relay}, sink)
+    # reading 0 at 3, matched with the sink at 10, batch done at 16, back
+    # on base at 27 with reading 1 due at 3 + 36
+    engine.run(38)
+    assert relay.listen_offset == 3 and relay.next_wake == 39
+    res = engine.run(200, quiesced=lambda: pending.value == 0)
+    assert res.converged
+    assert finished == [3, 10, 16, 27, 39, 46]  # delivered at 46
+    assert [(d.seq, d.created_at, d.delivered_at) for d in sink.deliveries] == [
+        (0, 3, 10), (1, sparse(3, 1, sc.spec), 46)]
+
+
+def test_dead_parked_relay_never_acks_after_its_death():
+    engine, relay, far, trace = relay_line(relay_rounds=0, deaths={1: 15})
+    engine.run(14)
+    assert relay.listen_offset == 3
+    res = engine.run(200)
+    assert not res.converged
+    assert not [e for e in trace.events if e.node == 1 and e.slot >= 15]
+    assert not far.matched
+    assert relay.listen_offset is None and relay.next_wake is None
+    assert all(1 not in ids for ids in engine._calendar)

@@ -16,11 +16,12 @@ from icroute.core import (
     Scenario,
     delay_offset,
 )
-from icroute.engine import Countdown
+from icroute.engine import Countdown, park_deadline
 from icroute.forwarding import (
     CachedPolicy,
     ForwardNode,
     failure_recovery_wait,
+    message_slot,
     run_forwarding,
     swing_back,
 )
@@ -56,6 +57,17 @@ def drive(node, until, ack_slots=()):
                 node.on_ack(slot, AckFrame(src=PEER, ack_dst=node.id))
         node.finish(slot)
     return sent
+
+
+def assert_parked(node, slot):
+    """An idle receiver finished at `slot` listens at base and wakes only
+    when its next reading is due, or never once all are made."""
+    assert node.listen_offset == node.base
+    if node.generated < node.rounds:
+        due = message_slot(node.base, node.generated, node.spec)
+        assert node.next_wake == park_deadline(slot, due, node.cycle)
+    else:
+        assert node.next_wake is None
 
 
 def data_frame(src=7, src_hop=3, dst=None, origin=7, seq=0, created_at=0,
@@ -127,10 +139,16 @@ def test_match_at_third_attempt_sends_batch_on_consecutive_cycles(monkeypatch):
 def test_batch_done_swings_back_to_base_offset(monkeypatch):
     monkeypatch.setattr(forwarding, "QUEUE_THRESHOLD", 2)
     node = make_node(rounds=2)
-    drive(node, until=60, ack_slots={29, 35})
+    # the batch closes at 35; its empty-queue wake at 41 swings back
+    drive(node, until=41, ack_slots={29, 35})
     assert node.state == "recv"
     assert node.next_wake % 6 == 2
     assert not node.queue
+    # idle on base with every reading made: parked for good
+    slot = node.next_wake
+    drive(node, until=slot)
+    assert_parked(node, slot)
+    assert node.next_wake is None
 
 
 def test_pendulum_identity_for_every_match_position():
@@ -140,13 +158,17 @@ def test_pendulum_identity_for_every_match_position():
             for attempt in range(1, cycle + 1):
                 node = make_node(t=t, offset=base, rounds=1)
                 ack_slot = base + attempt * (cycle + 1)
-                sent = drive(node, until=ack_slot + 3 * cycle,
+                # stop short of the wake that lands back on base
+                sent = drive(node, until=ack_slot + 2 * cycle - 1,
                              ack_slots={ack_slot})
                 assert (ack_slot, ) in [(s,) for s, _ in sent]
                 assert node.matched
                 assert node.offset_cache == attempt % cycle
                 assert node.state == "recv"
                 assert node.next_wake % cycle == base % cycle
+                slot = node.next_wake
+                drive(node, until=slot)
+                assert_parked(node, slot)
 
 
 def test_exhausted_scan_covers_every_offset_then_rests_at_base():
@@ -205,8 +227,9 @@ def test_matched_failure_holds_then_rescans(monkeypatch):
        fixed=st.booleans(), acks=st.lists(st.booleans(), max_size=40))
 def test_sender_wakes_follow_the_pendulum(t, base, rounds, fixed, acks):
     # a lone sender, its i-th frame acked iff acks[i]: a scan steps one
-    # slot per miss, a matched session stays on base + offset_cache, and
-    # every way back to listening lands on base
+    # slot per miss, a matched session stays on base + offset_cache,
+    # every way back to listening lands on base, and an idle receiver
+    # parks there until its next reading is due
     spec = make_spec(t)
     cycle = spec.cycle
     base %= cycle
@@ -231,9 +254,15 @@ def test_sender_wakes_follow_the_pendulum(t, base, rounds, fixed, acks):
                 node.on_ack(slot, AckFrame(src=PEER, ack_dst=node.id))
             frames += 1
         node.finish(slot)
-        last = {node.state: slot} if node.state == state else {}
+        idle = node.id_match is None and not node.queue
+        if state in ("recv", "hold") and node.state == "recv" and idle:
+            assert_parked(node, slot)
+        else:
+            assert node.listen_offset is None
+        parked = node.listen_offset is not None
+        last = {node.state: slot} if node.state == state and not parked else {}
         if state in ("scan", "send") and node.state in ("recv", "hold"):
-            assert node.next_wake % cycle == base
+            assert node.next_wake is None or node.next_wake % cycle == base
 
 
 # -- receiver rules --------------------------------------------------------

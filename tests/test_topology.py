@@ -112,8 +112,8 @@ def test_relay_anchor_is_a_round_past_half_a_pass():
     # slot 100 puts the sender's anchor at 93 and the relay at 121, moved
     # up to our working offset (100 % 6 == 4): 124
     node = _bare_node(t=5)
-    node.hop = 3
-    node._enter_lead(100, round_no=1, src=7)
+    node.hop, node.next_hop = 3, 7
+    node._enter_lead(100, round_no=1)
     assert node._anchor == 124 and node._v0 == 0
     assert node.state == "lead_wait"
     # parked at our offset until the first slot there within two cycles
@@ -127,8 +127,8 @@ def test_relay_late_joiner_starts_at_the_first_round_ahead():
     # and 1 (slots 94, 101) are not a cycle ahead, so the pass joins at
     # round 2, slot 108, one offset on per round
     node = _bare_node(t=5)
-    node.hop = 3
-    node._enter_lead(100, round_no=5, src=7)
+    node.hop, node.next_hop = 3, 7
+    node._enter_lead(100, round_no=5)
     assert node._anchor == 94 and node._v0 == 2
     assert node.state == "lead" and node.next_wake == 108
     assert node.poll(108).round_no == 2
