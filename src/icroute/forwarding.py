@@ -12,13 +12,13 @@ queue, swings the node back to its base offset.
 Receivers lock onto a sender for the duration of a marked batch, which
 keeps two candidate relays from both adopting the same traffic: the
 loser notices the sender naming the other node and quietly discards its
-copy.  An idle receiver, unlocked with an empty queue, parks at its base
-offset (see `engine`): it listens there without waking and wakes on
-its own only when its next reading is due, or never once it has made
-them all.  A frame it hears finishes it in that slot, which may make it
-a sender.  A matched next hop that stops acking for a full cycle of
-attempts is treated as failed; recovery policy is pluggable (see
-`CachedPolicy` here and the alternatives in `baselines`).
+copy.  An idle receiver, unlocked with an empty queue and every
+reading made, parks at its base offset (see `engine`): it listens there
+and never wakes on its own.  A frame it hears finishes it in that slot,
+which may make it a sender.  A matched next hop that stops acking for a
+full cycle of attempts is treated as failed; recovery policy is
+pluggable (see `CachedPolicy` here and the alternatives in
+`baselines`).
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .core import (
     Message,
     Scenario,
 )
-from .engine import Countdown, Engine, RunResult, park_deadline
+from .engine import Countdown, Engine, RunResult
 
 QUEUE_THRESHOLD = 1  # queued messages needed to take the sender role
 QUEUE_CAP = 16  # messages a node holds; a full queue acks nothing
@@ -155,7 +155,7 @@ class ForwardNode:
         self.pending = pending
         self.state = "recv"
         self.next_wake = placement.offset
-        self.listen_offset = None  # base while parked idle (`_park`)
+        self.listen_offset = None  # base while parked idle (`_finish_recv`)
         # sender side
         self.queue = deque()
         self.matched = False
@@ -320,19 +320,13 @@ class ForwardNode:
         self._go_sender = False
         if want_sender and self.queue:
             self._enter_sender(slot)
-        elif self.id_match is None and not self.queue:
-            self._park(slot)
+        elif (self.id_match is None and not self.queue
+              and self.generated == self.rounds):
+            # idle with every reading made: listen at base, never wake
+            self.listen_offset = self.base
+            self.next_wake = None
         else:
             self.next_wake = slot + self.cycle
-
-    def _park(self, slot):
-        """Listen at base without waking until the next reading is due."""
-        self.listen_offset = self.base
-        if self.generated < self.rounds:
-            due = message_slot(self.base, self.generated, self.spec)
-            self.next_wake = park_deadline(slot, due, self.cycle)
-        else:
-            self.next_wake = None
 
     def _enter_sender(self, slot):
         if not self.matched:

@@ -7,7 +7,6 @@ import dataclasses
 
 import pytest
 
-from icroute import forwarding
 from icroute.core import (SINK, ChargingSpec, DataFrame, HopFrame, NodePlacement,
                           Scenario)
 from icroute.engine import Countdown, Engine, park_deadline
@@ -286,38 +285,6 @@ def test_parked_relay_acks_a_scan_and_starts_its_own_in_that_slot():
     assert relay.listen_offset is None
     assert all(1 not in ids for ids in engine._calendar)
     assert [m.path for m in relay.queue] == [(2, 1)]
-
-
-def test_parked_relay_wakes_when_its_next_reading_is_due(monkeypatch):
-    # one reading per cycle is always made before a receiver goes idle;
-    # readings six cycles apart leave the relay parked between them
-    def sparse(offset, seq, spec):
-        return offset + seq * 6 * spec.cycle
-
-    finished = []
-
-    class Logged(ForwardNode):
-        def finish(self, slot):
-            finished.append(slot)
-            super().finish(slot)
-
-    monkeypatch.setattr(forwarding, "message_slot", sparse)
-    sc = line_field((1, 5.0))
-    placement = dataclasses.replace(sc.nodes[0], offset=3)
-    pending = Countdown(2)
-    relay = Logged(placement, sc.spec, CachedPolicy(), hop=1, rounds=2,
-                   pending=pending)
-    sink = ForwardSink(pending)
-    engine = Engine(sc, {1: relay}, sink)
-    # reading 0 at 3, matched with the sink at 10, batch done at 16, back
-    # on base at 27 with reading 1 due at 3 + 36
-    engine.run(38)
-    assert relay.listen_offset == 3 and relay.next_wake == 39
-    res = engine.run(200, quiesced=lambda: pending.value == 0)
-    assert res.converged
-    assert finished == [3, 10, 16, 27, 39, 46]  # delivered at 46
-    assert [(d.seq, d.created_at, d.delivered_at) for d in sink.deliveries] == [
-        (0, 3, 10), (1, sparse(3, 1, sc.spec), 46)]
 
 
 def test_dead_parked_relay_never_acks_after_its_death():

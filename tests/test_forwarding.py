@@ -16,12 +16,11 @@ from icroute.core import (
     Scenario,
     delay_offset,
 )
-from icroute.engine import Countdown, park_deadline
+from icroute.engine import Countdown
 from icroute.forwarding import (
     CachedPolicy,
     ForwardNode,
     failure_recovery_wait,
-    message_slot,
     run_forwarding,
     swing_back,
 )
@@ -59,15 +58,11 @@ def drive(node, until, ack_slots=()):
     return sent
 
 
-def assert_parked(node, slot):
-    """An idle receiver finished at `slot` listens at base and wakes only
-    when its next reading is due, or never once all are made."""
+def assert_parked(node):
+    """An idle receiver with every reading made listens at base and
+    never wakes on its own."""
     assert node.listen_offset == node.base
-    if node.generated < node.rounds:
-        due = message_slot(node.base, node.generated, node.spec)
-        assert node.next_wake == park_deadline(slot, due, node.cycle)
-    else:
-        assert node.next_wake is None
+    assert node.next_wake is None
 
 
 def data_frame(src=7, src_hop=3, dst=None, origin=7, seq=0, created_at=0,
@@ -145,10 +140,8 @@ def test_batch_done_swings_back_to_base_offset(monkeypatch):
     assert node.next_wake % 6 == 2
     assert not node.queue
     # idle on base with every reading made: parked for good
-    slot = node.next_wake
-    drive(node, until=slot)
-    assert_parked(node, slot)
-    assert node.next_wake is None
+    drive(node, until=node.next_wake)
+    assert_parked(node)
 
 
 def test_pendulum_identity_for_every_match_position():
@@ -166,9 +159,8 @@ def test_pendulum_identity_for_every_match_position():
                 assert node.offset_cache == attempt % cycle
                 assert node.state == "recv"
                 assert node.next_wake % cycle == base % cycle
-                slot = node.next_wake
-                drive(node, until=slot)
-                assert_parked(node, slot)
+                drive(node, until=node.next_wake)
+                assert_parked(node)
 
 
 def test_exhausted_scan_covers_every_offset_then_rests_at_base():
@@ -229,7 +221,7 @@ def test_sender_wakes_follow_the_pendulum(t, base, rounds, fixed, acks):
     # a lone sender, its i-th frame acked iff acks[i]: a scan steps one
     # slot per miss, a matched session stays on base + offset_cache,
     # every way back to listening lands on base, and an idle receiver
-    # parks there until its next reading is due
+    # with every reading made parks there
     spec = make_spec(t)
     cycle = spec.cycle
     base %= cycle
@@ -254,15 +246,15 @@ def test_sender_wakes_follow_the_pendulum(t, base, rounds, fixed, acks):
                 node.on_ack(slot, AckFrame(src=PEER, ack_dst=node.id))
             frames += 1
         node.finish(slot)
-        idle = node.id_match is None and not node.queue
+        idle = (node.id_match is None and not node.queue
+                and node.generated == rounds)
         if state in ("recv", "hold") and node.state == "recv" and idle:
-            assert_parked(node, slot)
+            assert_parked(node)
         else:
             assert node.listen_offset is None
-        parked = node.listen_offset is not None
-        last = {node.state: slot} if node.state == state and not parked else {}
+        last = {node.state: slot} if node.state == state else {}
         if state in ("scan", "send") and node.state in ("recv", "hold"):
-            assert node.next_wake is None or node.next_wake % cycle == base
+            assert node.next_wake % cycle == base
 
 
 # -- receiver rules --------------------------------------------------------
