@@ -11,6 +11,12 @@ queues (`EXERCISED` checks that they do).  The
 mapping phase's event trace is pinned as `topology/trace.ndjson`, and
 `rics` also writes its forwarding trace.  A digest may change only with a behaviour
 change, and CHANGES.md must then say which bytes moved and why.
+
+Generated fields are connected and lose no node, so two hand-built
+fields pin the mapping paths the grid never reaches (`HAND_BUILT`): a
+node out of everyone's range waits out its silence windows, runs every
+probe scan and ends unreachable; and a relay dies in its echo, while it
+is parked, so the engine drops it from the calendar mid-mapping.
 """
 
 import hashlib
@@ -19,6 +25,7 @@ import os
 import pytest
 
 from icroute.baselines import STRATEGIES
+from icroute.core import ChargingSpec, NodePlacement, Scenario
 from icroute.experiments import ExperimentConfig, generate_scenario, run_experiment
 from icroute.radio import EventTrace
 from icroute.topology import build_topology
@@ -204,3 +211,48 @@ def test_exports_match_golden_digests(tmp_path, shape, n, t, rounds):
             # every strategy exports the one shared topology
             assert got.setdefault(key, digest) == digest, key
     assert got == GOLDEN[(shape, n, t, rounds)]
+
+
+def _isolated_field():
+    # node 1 hears nobody: three probe scans, then unreachable
+    nodes = [NodePlacement(0, 8.0, 0.0, 1), NodePlacement(1, 60.0, 0.0, 2)]
+    return Scenario(ChargingSpec(2), nodes, sink_xy=(0.0, 0.0), range_m=10.0,
+                    width=70.0, height=1.0, seed=5)
+
+
+def _dying_relay_field():
+    # two hop-1 relays in front of a chain; relay 1, node 2's next hop,
+    # dies at slot 60, parked in its echo
+    nodes = [NodePlacement(0, 7.0, 3.0, 2), NodePlacement(1, 7.0, -3.0, 4),
+             NodePlacement(2, 14.0, 0.0, 0), NodePlacement(3, 21.0, 0.0, 3)]
+    return Scenario(ChargingSpec(5), nodes, sink_xy=(0.0, 0.0), range_m=9.0,
+                    width=24.0, height=8.0, seed=7, deaths={1: 60})
+
+
+HAND_BUILT = {
+    "isolated": (_isolated_field, {
+        "topology/trace.ndjson": "980c43b9705240e4e76ec1647b99725e027f45d6c24a4892bd0ee4e95019422a",
+        "topology.json": "34004c7d7cf434098fcbdc2d1144df8cbdae5853af9560df7bba0ac4f65491fa",
+    }),
+    "dying-relay": (_dying_relay_field, {
+        "topology/trace.ndjson": "54a481322aef76d1085370e8d3e5ebbb456f29d6e3bf96c314ebee71d536e898",
+        "topology.json": "1b87fb37f706e4bd137054d3f6f0f9b9ef155873a9a2d8e00b7c8a461c92b4f0",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_BUILT))
+def test_hand_built_mapping_matches_golden_digests(tmp_path, name):
+    make, want = HAND_BUILT[name]
+    scenario = make()
+    topo_trace = EventTrace()
+    topo = build_topology(scenario, trace=topo_trace)
+    config = ExperimentConfig(t=scenario.spec.charge_slots, rounds=1,
+                              seed=scenario.seed)
+    result = run_experiment(config, scenario=scenario, topo=topo)
+    exported = {os.path.basename(p): p for p in result.export(str(tmp_path))}
+    assert {
+        "topology/trace.ndjson":
+            hashlib.sha256(topo_trace.ndjson().encode()).hexdigest(),
+        "topology.json": _sha256(exported["topology.json"]),
+    } == want
