@@ -42,8 +42,6 @@ class ContinuousSyncPolicy:
 class FixedHopPolicy(ContinuousSyncPolicy):
     """Realign toward one permanent next hop for every message."""
 
-    name = "fxcs"
-
     def __init__(self, target: int):
         if target is None:
             raise ValueError("fixed strategy needs a resolved next hop")
@@ -55,8 +53,6 @@ class FixedHopPolicy(ContinuousSyncPolicy):
 
 class RandomHopPolicy(ContinuousSyncPolicy):
     """Redraw the target uniformly for every alignment scan."""
-
-    name = "rncs"
 
     def __init__(self, candidates: list, rng):
         if not candidates:
@@ -76,8 +72,6 @@ class OpportunisticPolicy(CachedPolicy):
     opportunistic and accept the first acking neighbor.  Failures skip
     the recovery wait and probe again immediately.
     """
-
-    name = "otps"
 
     def __init__(self, designated: int | None):
         self.designated = designated
@@ -99,7 +93,7 @@ def lower_hop_neighbors(nid: int, topo) -> list:
     """In-range neighbors the node has heard that sit closer to the sink."""
     mine = topo.hops.get(nid, NO_HOP)
     out = []
-    for peer in topo.known_lower.get(nid, {}):
+    for peer in topo.known_lower.get(nid, ()):
         peer_hop = 0 if peer == SINK else topo.hops.get(peer, NO_HOP)
         if peer_hop < mine:
             out.append(peer)

@@ -98,7 +98,6 @@ class Engine:
         self._calendar = [set() for _ in range(self._cycle)]  # offset -> ids
         self._filed = {}  # parked id -> offset
         self._heap = []
-        self._stale = False  # True once an early finish may leave a stale entry
         self._file(self._all, -1)
 
     def _alive(self, nid, slot):
@@ -112,27 +111,28 @@ class Engine:
             if r < MICRO_SLOTS:
                 return r
 
-    def run(self, max_slots: int, quiesced=None) -> RunResult:
-        """Advance until `quiesced()` holds or `max_slots` is exceeded.
+    def run(self, max_slots: int,
+            pending: Countdown | None = None) -> RunResult:
+        """Advance until `pending` counts down to zero or `max_slots` is
+        exceeded.
 
         A run that does not quiesce ends at `max_slots`: the sink listened
         through the horizon, whether or not a node woke in its last slots.
         """
         res = RunResult(last_slot=0, converged=False)
-        if quiesced is not None and quiesced():
+        if pending is not None and pending.value == 0:
             res.converged = True
             return res
         heap = self._heap
         behaviors = self._all
         deaths = self.scenario.deaths
-        stale = self._stale
         while heap and heap[0][0] <= max_slots:
             slot = heap[0][0]
             awake = []
             while heap and heap[0][0] == slot:
                 nid = heapq.heappop(heap)[1]
-                if stale and (behaviors[nid].next_wake != slot
-                              or awake and awake[-1] == nid):
+                if (behaviors[nid].next_wake != slot
+                        or awake and awake[-1] == nid):
                     continue
                 if not deaths or self._alive(nid, slot):
                     awake.append(nid)
@@ -143,9 +143,8 @@ class Engine:
             touched = self._step(slot, awake, behaviors, res)
             self._file(awake, slot)
             if touched:
-                stale = self._stale = True
                 self._file(touched, slot)
-            if quiesced is not None and quiesced():
+            if pending is not None and pending.value == 0:
                 res.last_slot = slot
                 res.converged = True
                 return res

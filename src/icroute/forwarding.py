@@ -71,8 +71,6 @@ def failure_recovery_wait(spec: ChargingSpec) -> int:
 class CachedPolicy:
     """Default strategy: scan once, cache the match, sit out failures."""
 
-    name = "rics"
-
     def scan_target(self, node):
         return None  # opportunistic: first acking node downstream wins
 
@@ -143,8 +141,7 @@ class ForwardSink:
 class ForwardNode:
     """Sender/receiver state machine for one duty-cycled node."""
 
-    def __init__(self, placement, spec, policy, hop, rounds,
-                 pending: Countdown):
+    def __init__(self, placement, spec, policy, hop, rounds):
         self.id = placement.node_id
         self.base = placement.offset
         self.spec = spec
@@ -152,7 +149,6 @@ class ForwardNode:
         self.policy = policy
         self.hop = hop
         self.rounds = rounds
-        self.pending = pending
         self.state = "recv"
         self.next_wake = placement.offset
         self.listen_offset = None  # base while parked idle (`_finish_recv`)
@@ -463,11 +459,9 @@ def run_forwarding(scenario: Scenario, hops: dict, rounds: int = 1,
         policy = (policies or {}).get(p.node_id, default_policy)
         nodes[p.node_id] = ForwardNode(
             p, scenario.spec, policy,
-            hop=hops.get(p.node_id, NO_HOP),
-            rounds=rounds, pending=pending,
-        )
+            hop=hops.get(p.node_id, NO_HOP), rounds=rounds)
     engine = Engine(scenario, nodes, sink, trace=trace)
-    run = engine.run(max_slots, quiesced=lambda: pending.value == 0)
+    run = engine.run(max_slots, pending)
     created = sum(n.generated for n in nodes.values())
     return ForwardResult(
         deliveries=sink.deliveries,

@@ -114,7 +114,7 @@ def node_silence_window(scenario: Scenario) -> int:
 class TopoResult:
     hops: dict
     next_hops: dict
-    known_lower: dict
+    known_lower: dict  # node id -> ids heard sending a finite hop
     topo_time: int
     converged_at: int | None
     unreachable: set
@@ -167,30 +167,27 @@ class TopoNode:
         self.relay_rounds = (self.t + 1) // 2 + 1
         self.hop = NO_HOP
         self.next_hop = None
-        self.known_lower = {}
+        self.known_lower = set()
         self.state = "listen"
         self.next_wake = offset
         self.listen_offset = None  # set while parked (see `_listen`)
         self.last_update = -1
-        self.last_heard = 0
         self.silence_window = node_silence_window(scenario)
+        # end of the listen in `listen` (silence before a probe scan),
+        # `lead_hold`, `cooldown` and `verify`
+        self._until = self.silence_window
         self.rng = derive_rng_stream(scenario.seed, node_id, "topo")
         self.pending = pending
         self.done = False
         pending.value += 1
         # lead pass bookkeeping
         self._anchor = None  # slot of locked round 0
-        self._v0 = 0  # first locked round transmitted
-        self._vround = 0  # locked round of the current transmission
-        self._tx_slot = None
-        self._hold_end = None
+        self._vround = 0  # locked round of the next transmission
+        self._plan = None  # `_lead_plan` of this lead pass
         self._acked = {}  # acker -> (ack slot, locked round) in this lead pass
         self._calls = []  # (slot, transmit) visits to stale children
-        # cooldown / verify bookkeeping
-        self._quiet_until = None
-        self._verify_until = None
         # broadcast bookkeeping
-        self._round = 0
+        self._round = 0  # rotation steps taken in this pass or probe scan
         self._tx_now = False
         self._pass_no = 0
         self._cur_ackers = set()
@@ -198,12 +195,13 @@ class TopoNode:
         self._quiet_streak = 0
         self._farewells = 0
         self._lone_pass = False
-        # probe bookkeeping
-        self._probe_attempt = 0
-        self._scans_used = 0
-        self.unreachable = False
+        self._scans_used = 0  # probe scans that came back empty
         # set in on_data/on_ack, consumed by finish
         self._update_round = None
+
+    @property
+    def unreachable(self):
+        return self.hop == NO_HOP and self._scans_used >= PROBE_SCANS
 
     # -- helpers -------------------------------------------------------
 
@@ -217,15 +215,12 @@ class TopoNode:
     def _consider(self, slot, frame):
         """Apply a decoded hop frame; return an ack-phase response or None."""
         if frame.hop != NO_HOP:
-            self.known_lower[frame.src] = frame.hop
-            self.last_heard = slot
+            self.known_lower.add(frame.src)
         if frame.hop != NO_HOP and frame.hop + 1 < self.hop:
             self.hop = frame.hop + 1
             self.next_hop = frame.src
             self.last_update = slot
             self._update_round = frame.round_no
-            if self.unreachable:
-                self.unreachable = False
             self._set_done(False)
             return AckFrame(src=self.id, ack_dst=frame.src)
         if self.hop != NO_HOP and frame.hop > self.hop + 1:
@@ -236,7 +231,7 @@ class TopoNode:
     # -- engine hooks --------------------------------------------------
 
     def poll(self, slot):
-        if self.state == "lead" and slot == self._tx_slot:
+        if self.state == "lead":
             return HopFrame(src=self.id, hop=self.hop, round_no=self._vround)
         if self.state == "lead_wait" and self._calls and self._calls[0] == (slot, True):
             return HopFrame(src=self.id, hop=self.hop, round_no=self._stamp(slot))
@@ -269,7 +264,7 @@ class TopoNode:
     def _heard_activity(self, slot):
         """The channel is clearly not quiet: slide or void quiet-dependent state."""
         if self.state == "cooldown":
-            self._quiet_until = max(self._quiet_until, self._quiet_end(slot))
+            self._until = max(self._until, self._quiet_end(slot))
         elif self.state == "verify":
             # the farewell pass ran against live traffic, so it proves
             # nothing; try again once the channel drains
@@ -287,49 +282,39 @@ class TopoNode:
         if self.state == "lead":
             self._advance_lead()
             return
-        if self.state == "lead_hold":
-            if slot + self.cycle >= self._hold_end:
-                self._finish_pass(slot)
-            else:
-                self._listen(slot, self._hold_end - self.cycle)
-            return
         if self.state == "bcast":
             self._advance_pass(slot)
             return
         if self.state == "probe":
             self._advance_probe(slot)
             return
-        if self.state == "cooldown":
-            if slot >= self._quiet_until:
-                # the channel has stayed quiet: run a farewell pass
-                self._enter_bcast(slot)
-                self._lone_pass = True
-            else:
-                self._listen(slot, self._quiet_until)
-            return
-        if self.state == "verify":
-            if slot >= self._verify_until:
-                # the farewell ran and the channel stayed silent around it
-                self._farewells += 1
-                if self._farewells >= FAREWELL_PASSES:
-                    self.state = "listen"
-                    self._set_done(True)
-                    self._listen(slot, None)
-                else:
-                    self._enter_cooldown(slot)
-            else:
-                self._listen(slot, self._verify_until)
-            return
-        # plain listening
-        if self.hop != NO_HOP or self.done:
+        # the listening states: a done node listens for good; any other
+        # node in `listen` is unmapped and waits out the silence before a
+        # probe scan
+        if self.done:
             self._listen(slot, None)
-        elif slot - self.last_heard < self.silence_window:
-            self._listen(slot, self.last_heard + self.silence_window)
+        elif slot < self._until:
+            self._listen(slot, self._until)
+        elif self.state == "lead_hold":
+            self._finish_pass(slot)
+        elif self.state == "cooldown":
+            # the channel has stayed quiet: run a farewell pass
+            self._enter_bcast(slot)
+            self._lone_pass = True
+        elif self.state == "verify":
+            # the farewell ran and the channel stayed silent around it
+            self._farewells += 1
+            if self._farewells >= FAREWELL_PASSES:
+                self.state = "listen"
+                self._set_done(True)
+                self._listen(slot, None)
+            else:
+                self._enter_cooldown(slot)
         else:
             # run a full offset scan: transmit a probe each cycle, delaying
             # one slot per attempt so every neighbor offset is visited once
             self.state = "probe"
-            self._probe_attempt = 0
+            self._round = 0
             self.next_wake = slot + self.cycle
 
     def _listen(self, slot, until):
@@ -386,8 +371,8 @@ class TopoNode:
             self._anchor = slot + self.cycle
         else:
             self._anchor = self._relay_anchor(slot, round_no)
-        self._v0 = self._vround = self._join_round(self._anchor, start)
-        self._tx_slot = self._anchor + self._v0 * self.round_len
+        self._vround = self._join_round(self._anchor, start)
+        self._plan = self._lead_plan(self._anchor, self._vround)
         self.state = "lead_wait"
         self._advance_lead_wait(slot)
 
@@ -438,12 +423,13 @@ class TopoNode:
             self._calls.pop(0)
         # listen at our offset, then slip to the next call or first
         # transmission (always at least a cycle ahead)
-        target = self._calls[0][0] if self._calls else self._tx_slot
+        tx_slot = self._anchor + self._vround * self.round_len
+        target = self._calls[0][0] if self._calls else tx_slot
         if target - slot >= 2 * self.cycle:
             self._listen(slot, target - 2 * self.cycle + 1)
             return
         self.next_wake = target
-        if target == self._tx_slot:
+        if target == tx_slot:
             self.state = "lead"
             self._acked = {}
             self._pass_no += 1
@@ -482,13 +468,13 @@ class TopoNode:
 
     def _advance_lead(self):
         """Step to the next locked round, or hand over to catch and echo."""
-        last, listen, hold_end = self._lead_plan(self._anchor, self._v0)
+        last, listen, hold_end = self._plan
         if self._vround < last:
             self._vround += 1
-            self._tx_slot = self.next_wake = self._anchor + self._vround * self.round_len
+            self.next_wake = self._anchor + self._vround * self.round_len
             return
-        self.next_wake, self._hold_end = listen, hold_end
-        self._tx_slot = None
+        # the echo ends at hold_end: its last wake is within a cycle of it
+        self.next_wake, self._until = listen, hold_end - self.cycle
         self.state = "lead_hold"
 
     def _enter_bcast(self, slot):
@@ -535,7 +521,7 @@ class TopoNode:
             # a farewell counts only after a quiet listen-through; any
             # activity in the window voids it (see _heard_activity)
             self.state = "verify"
-            self._verify_until = slot + (self.t + 1) * self.cycle
+            self._until = slot + (self.t + 1) * self.cycle
             self.next_wake = slot + self.cycle + 1
             return
         if not new and self._quiet_streak >= QUIET_PASSES:
@@ -547,7 +533,7 @@ class TopoNode:
 
     def _enter_cooldown(self, slot):
         self.state = "cooldown"
-        self._quiet_until = self._quiet_end(slot)
+        self._until = self._quiet_end(slot)
         self.next_wake = slot + 1 + self.cycle
 
     def _quiet_end(self, slot):
@@ -555,18 +541,17 @@ class TopoNode:
         return slot + self.rng.randrange(self.t + 1, 2 * self.t + 3) * self.cycle
 
     def _advance_probe(self, slot):
-        self._probe_attempt += 1
-        if self._probe_attempt <= self.t:
+        self._round += 1
+        if self._round <= self.t:
             self.next_wake = slot + self.cycle + 1
             return
         # one full scan came back empty
         self._scans_used += 1
         self.state = "listen"
-        if self._scans_used >= PROBE_SCANS:
-            self.unreachable = True
+        if self.unreachable:
             self._set_done(True)
         else:
-            self.last_heard = slot  # wait out a fresh silence window first
+            self._until = slot + self.silence_window  # a fresh silence first
         self.next_wake = slot + self.cycle + 1
 
 
@@ -586,12 +571,12 @@ def build_topology(scenario: Scenario, trace=None) -> TopoResult:
         + (PROBE_SCANS + 4) * (t + 1) * (t + 2) \
         + len(scenario.nodes) * FAREWELL_PASSES * 6 * (t + 1) * (t + 1)
     engine = Engine(scenario, nodes, sink, trace=trace)
-    run = engine.run(max_slots, quiesced=lambda: pending.value == 0)
+    run = engine.run(max_slots, pending)
     topo_time = max((n.last_update for n in nodes.values()), default=-1)
     return TopoResult(
         hops={nid: n.hop for nid, n in nodes.items()},
         next_hops={nid: n.next_hop for nid, n in nodes.items()},
-        known_lower={nid: dict(n.known_lower) for nid, n in nodes.items()},
+        known_lower={nid: n.known_lower for nid, n in nodes.items()},
         topo_time=topo_time,
         converged_at=run.last_slot if run.converged else None,
         unreachable={nid for nid, n in nodes.items() if n.unreachable},

@@ -19,7 +19,6 @@ from conftest import ACCEPTANCE_LINES
 
 from icroute.baselines import STRATEGIES, build_policies
 from icroute.core import AckFrame, ChargingSpec, Message, delay_offset
-from icroute.engine import Countdown
 from icroute.experiments import ExperimentConfig, generate_scenario, run_experiment
 from icroute.forwarding import (
     ForwardNode,
@@ -338,8 +337,7 @@ def test_acceptance_9_protocol_properties():
     from icroute.core import NodePlacement
     placement = NodePlacement(node_id=1, x=0.0, y=0.0, offset=2)
     from icroute.forwarding import CachedPolicy
-    node = ForwardNode(placement, spec, CachedPolicy(), hop=2, rounds=0,
-                       pending=Countdown(0))
+    node = ForwardNode(placement, spec, CachedPolicy(), hop=2, rounds=0)
     flags = _drive_batches(node, [(0, 1, 2), (3, 4)])
     want = [(True, False), (False, False), (False, True),
             (True, False), (False, True)]

@@ -72,15 +72,13 @@ def test_fixed_strategy_rescans_every_batch():
     # the first one and scans again, the cached strategy does not
     from icroute.baselines import FixedHopPolicy
     from icroute.core import AckFrame, Message
-    from icroute.engine import Countdown
     from icroute.forwarding import CachedPolicy, ForwardNode
 
     spec = ChargingSpec(charge_slots=5)
     placement = NodePlacement(node_id=1, x=0.0, y=0.0, offset=2)
 
     def sessions(policy):
-        node = ForwardNode(placement, spec, policy, hop=2, rounds=0,
-                           pending=Countdown(0))
+        node = ForwardNode(placement, spec, policy, hop=2, rounds=0)
         for batch in range(2):
             node.queue.append(Message(origin=1, seq=batch, created_at=0))
             deadline = node.next_wake + 40 * 6

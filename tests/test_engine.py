@@ -97,7 +97,7 @@ def test_unscheduled_sink_listens_first():
     assert sink.next_wake is None
     trace = EventTrace()
     res = Engine(sc, {1: sender, 2: listener}, sink, trace=trace).run(
-        100, quiesced=lambda: pending.value == 0)
+        100, pending)
     assert res.converged and res.last_slot == 7
     assert [(d.origin, d.delivered_at) for d in sink.deliveries] == [(1, 7)]
     assert listener.heard == [(7, frame)]
@@ -263,8 +263,7 @@ def relay_line(relay_rounds, deaths=None):
     nodes = {
         p.node_id: ForwardNode(dataclasses.replace(p, offset=offsets[p.node_id]),
                                sc.spec, CachedPolicy(), hop=p.node_id,
-                               rounds=1 if p.node_id == 2 else relay_rounds,
-                               pending=pending)
+                               rounds=1 if p.node_id == 2 else relay_rounds)
         for p in sc.nodes
     }
     trace = EventTrace()

@@ -16,7 +16,6 @@ from icroute.core import (
     Scenario,
     delay_offset,
 )
-from icroute.engine import Countdown
 from icroute.forwarding import (
     CachedPolicy,
     ForwardNode,
@@ -38,7 +37,7 @@ def make_node(t=5, offset=2, hop=2, rounds=0):
     spec = make_spec(t)
     placement = NodePlacement(node_id=1, x=0.0, y=0.0, offset=offset)
     return ForwardNode(placement, spec, CachedPolicy(),
-                       hop=hop, rounds=rounds, pending=Countdown(rounds))
+                       hop=hop, rounds=rounds)
 
 
 def drive(node, until, ack_slots=()):
@@ -227,8 +226,7 @@ def test_sender_wakes_follow_the_pendulum(t, base, rounds, fixed, acks):
     base %= cycle
     policy = FixedHopPolicy(PEER) if fixed else CachedPolicy()
     placement = NodePlacement(node_id=1, x=0.0, y=0.0, offset=base)
-    node = ForwardNode(placement, spec, policy, hop=2, rounds=rounds,
-                       pending=Countdown(rounds))
+    node = ForwardNode(placement, spec, policy, hop=2, rounds=rounds)
     frames = 0
     last = {}  # state -> slot of its previous wake in the current session
     while node.next_wake is not None and node.next_wake <= base + 200 * cycle:

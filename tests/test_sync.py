@@ -6,7 +6,6 @@ from statistics import fmean
 import pytest
 
 from icroute.core import AckFrame, ChargingSpec, NodePlacement
-from icroute.engine import Countdown
 from icroute.forwarding import CachedPolicy, ForwardNode
 from icroute.sync import (
     alignment_cycles,
@@ -102,8 +101,7 @@ def lone_sender(t, offset):
     """A forwarding node with one message to send and a scan to run."""
     spec = ChargingSpec(t)
     placement = NodePlacement(node_id=1, x=0.0, y=0.0, offset=offset)
-    return ForwardNode(placement, spec, CachedPolicy(), hop=1, rounds=1,
-                       pending=Countdown(1))
+    return ForwardNode(placement, spec, CachedPolicy(), hop=1, rounds=1)
 
 
 def run_scan(node, ack_attempt=None):

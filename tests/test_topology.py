@@ -114,7 +114,7 @@ def test_relay_anchor_is_a_round_past_half_a_pass():
     node = _bare_node(t=5)
     node.hop, node.next_hop = 3, 7
     node._enter_lead(100, round_no=1)
-    assert node._anchor == 124 and node._v0 == 0
+    assert node._anchor == 124 and node._vround == 0
     assert node.state == "lead_wait"
     # parked at our offset until the first slot there within two cycles
     # of the anchor
@@ -129,7 +129,7 @@ def test_relay_late_joiner_starts_at_the_first_round_ahead():
     node = _bare_node(t=5)
     node.hop, node.next_hop = 3, 7
     node._enter_lead(100, round_no=5)
-    assert node._anchor == 94 and node._v0 == 2
+    assert node._anchor == 94 and node._vround == 2
     assert node.state == "lead" and node.next_wake == 108
     assert node.poll(108).round_no == 2
 
@@ -170,8 +170,8 @@ def test_chain_converges_to_least_hop():
 def test_chain_learns_lower_neighbors():
     sc = line_scenario(4, spacing=90, t=5, seed=7)
     res = build_topology(sc)
-    assert res.known_lower[1][0] == 1
-    assert res.known_lower[2][1] == 2
+    assert 0 in res.known_lower[1] and res.hops[0] == 1
+    assert 1 in res.known_lower[2] and res.hops[1] == 2
     assert SINK in res.known_lower[0]
 
 
