@@ -6,9 +6,13 @@ so the observable behavior matches naive slot-by-slot stepping.
 
 Each processed slot has two contention phases: a data phase where awake
 nodes may transmit one frame, and an ack phase where nodes that decoded a
-data frame may answer.  Half duplex holds per phase, so a data transmitter
-can still hear the ack phase of the same slot.  `resolve_slot` arbitrates
-each phase over the disk graph `Scenario.neighbors()`, built once per run.
+data frame may answer.  `resolve_slot` arbitrates each phase over the
+disk graph `Scenario.neighbors()`, built once per run, for one listener
+list per slot: the sink, then every scheduled node and every node parked
+at the slot's offset, in node-id order.  Transmitters stay on that list;
+half duplex is `resolve_slot`'s rule that a node decodes nothing in a
+phase it sent in, so a data transmitter can still hear the ack phase of
+the same slot.
 
 Node behaviors are plain objects with:
     next_wake          absolute slot of the next working slot, or None
@@ -41,11 +45,14 @@ live.  A parked node found dead leaves the calendar and never listens
 again.  A parked node never makes the engine process a slot before its
 deadline.
 
+The calendar needs no index of where each node is filed: a parked
+deadline must lie at the node's `listen_offset` (filing raises
+otherwise), and a touched node was heard at its offset, so a node
+finished or found dead in slot `s` can only be filed at `s % cycle`.
+
 The sink is mains powered, so it listens in every processed slot,
-first among the listeners of both phases, whether or not it scheduled
-the slot.  A sink that only listens sets `next_wake = None` and needs
-no `poll` or `finish`.  The other listeners of a phase follow in node-id
-order, scheduled and parked alike.
+whether or not it scheduled the slot.  A sink that only listens sets
+`next_wake = None` and needs no `poll` or `finish`.
 """
 
 from __future__ import annotations
@@ -96,7 +103,6 @@ class Engine:
         }
         self._cycle = scenario.spec.cycle
         self._calendar = [set() for _ in range(self._cycle)]  # offset -> ids
-        self._filed = {}  # parked id -> offset
         self._heap = []
         self._file(self._all, -1)
 
@@ -137,13 +143,10 @@ class Engine:
                 if not deaths or self._alive(nid, slot):
                     awake.append(nid)
                 else:
-                    self._drop(nid)
+                    self._drop(nid, slot)
             if not awake:
                 continue
-            touched = self._step(slot, awake, behaviors, res)
-            self._file(awake, slot)
-            if touched:
-                self._file(touched, slot)
+            self._file(self._step(slot, awake, behaviors, res), slot)
             if pending is not None and pending.value == 0:
                 res.last_slot = slot
                 res.converged = True
@@ -153,48 +156,48 @@ class Engine:
 
     def _file(self, ids, slot):
         """Queue each node's `next_wake` after its `finish(slot)`, and move
-        it in the calendar to its `listen_offset`."""
+        it in the calendar from the offset of `slot` to its
+        `listen_offset`."""
         behaviors = self._all
-        filed = self._filed
+        cycle = self._cycle
         calendar = self._calendar
+        here = calendar[slot % cycle]
         heap = self._heap
         for nid in ids:
             beh = behaviors[nid]
-            offset = beh.listen_offset
-            was = filed.pop(nid, None)
-            if was is not None and was != offset:
-                calendar[was].discard(nid)
-            if offset is not None:
-                calendar[offset].add(nid)
-                filed[nid] = offset
+            here.discard(nid)
             wake = beh.next_wake
+            offset = beh.listen_offset
+            if offset is not None:
+                if wake is not None and wake % cycle != offset:
+                    raise RuntimeError(f"node {nid} parked off its offset")
+                calendar[offset].add(nid)
             if wake is not None:
                 if wake <= slot:
                     raise RuntimeError(f"node {nid} rescheduled into the past")
                 heapq.heappush(heap, (wake, nid))
 
-    def _drop(self, nid):
+    def _drop(self, nid, slot):
         """A dead node loses its schedule and its place in the calendar; a
         deadline entry it leaves behind finds it dead, or not live, when it
         pops."""
         beh = self._all[nid]
         beh.next_wake = beh.listen_offset = None
-        was = self._filed.pop(nid, None)
-        if was is not None:
-            self._calendar[was].discard(nid)
+        self._calendar[slot % self._cycle].discard(nid)
 
     def _pool(self, slot, awake):
-        """The scheduled nodes plus the live ones parked at the offset of
-        `slot`, in node-id order."""
+        """The listeners of `slot`: the sink, then the scheduled nodes and
+        the live ones parked at its offset, in node-id order."""
         parked = self._calendar[slot % self._cycle]
         if self.scenario.deaths:
             for nid in [n for n in parked if not self._alive(n, slot)]:
-                self._drop(nid)
-        return sorted(parked.union(awake)) if parked else awake
+                self._drop(nid, slot)
+        pool = sorted(parked.union(awake)) if parked else awake
+        return pool if pool[0] == SINK else [SINK, *pool]
 
     def _step(self, slot, awake, behaviors, res):
-        """Run one slot; returns the parked nodes that heard something and
-        were finished off their schedule."""
+        """Run one slot; returns every node it finished: the scheduled
+        ones, then the parked ones that heard something."""
         trace = self.trace
 
         tx_a = []
@@ -208,15 +211,14 @@ class Engine:
             # nothing on the air: listening changes no state
             for nid in awake:
                 behaviors[nid].finish(slot)
-            return ()
+            return awake
         res.frames_sent += len(tx_a)
 
-        pool = self._pool(slot, awake)
-        listeners_a = _listeners(pool, tx_a)
-        decode_a = resolve_slot(tx_a, listeners_a, self.neighbors)
+        listeners = self._pool(slot, awake)
+        decode_a = resolve_slot(tx_a, listeners, self.neighbors)
 
         tx_b = []
-        for nid in listeners_a:
+        for nid in listeners:
             got = decode_a.get(nid)
             if got is COLLISION:
                 res.data_collisions += 1
@@ -236,10 +238,10 @@ class Engine:
                 if trace:
                     trace.add(slot, nid, "txr", frame=type(resp).__name__)
 
+        decode_b = {}
         if tx_b:
-            listeners_b = _listeners(pool, tx_b)
-            decode_b = resolve_slot(tx_b, listeners_b, self.neighbors)
-            for nid in listeners_b:
+            decode_b = resolve_slot(tx_b, listeners, self.neighbors)
+            for nid in listeners:
                 got = decode_b.get(nid)
                 if got is COLLISION:
                     res.ack_collisions += 1
@@ -255,23 +257,14 @@ class Engine:
 
         for nid in awake:
             behaviors[nid].finish(slot)
-        if pool is awake:
-            return ()
+        parked = self._calendar[slot % self._cycle]
+        if not parked:
+            return awake
         # a parked listener that decoded a frame or heard a collision is
         # finished in this slot too
-        touched = [nid for nid in pool if nid not in awake
+        touched = [nid for nid in listeners if nid in parked and nid not in awake
                    and (decode_a.get(nid) is not None
-                        or tx_b and decode_b.get(nid) is not None)]
+                        or decode_b.get(nid) is not None)]
         for nid in touched:
             behaviors[nid].finish(slot)
-        return touched
-
-
-def _listeners(pool, transmissions):
-    """Nodes of `pool` that did not transmit in a phase, the sink first: it
-    listens in every processed slot, scheduled or not."""
-    tx_ids = {f.src for f, _ in transmissions}
-    out = [n for n in pool if n not in tx_ids and n != SINK]
-    if SINK not in tx_ids:
-        out.insert(0, SINK)
-    return out
+        return awake + touched

@@ -154,7 +154,6 @@ class ForwardNode:
         self.listen_offset = None  # base while parked idle (`_finish_recv`)
         # sender side
         self.queue = deque()
-        self.matched = False
         self.next_hop = None
         self.offset_forth = 0  # the swing: slots postponed since base
         self.scan_target = None
@@ -163,7 +162,7 @@ class ForwardNode:
         self._got_ack = False
         self._flew_end = False
         self._misses = 0  # unacked frames since the last ack or sender entry
-        self._hold_until = None
+        self._hold_until = 0  # a receiver sits out a failure until this slot
         # receiver side
         self.id_match = None
         self.time_wait = 0
@@ -178,6 +177,11 @@ class ForwardNode:
         self.stale_breaks = 0
         self.forced_exits = 0
         self.failures = 0
+
+    @property
+    def matched(self):
+        """Whether an ack settled a next hop; `clear_match` forgets it."""
+        return self.next_hop is not None
 
     @property
     def offset_cache(self):
@@ -220,7 +224,7 @@ class ForwardNode:
     def on_data(self, slot, frame):
         if not isinstance(frame, DataFrame):
             return None
-        if self.state not in ("recv", "hold"):
+        if self.state != "recv":
             # a sender that happened not to transmit this slot stays deaf;
             # accepting here would strand the upstream node on an offset
             # we are about to leave
@@ -296,12 +300,14 @@ class ForwardNode:
             self._finish_recv(slot)
         elif self.state in ("scan", "send"):
             self._finish_sender(slot)
-        elif self.state == "hold":
-            self._finish_hold(slot)
         else:
             raise AssertionError(f"unknown state {self.state}")
 
     def _finish_recv(self, slot):
+        if slot < self._hold_until:
+            # sitting out a failed next hop: listen each cycle, go nowhere
+            self.next_wake = slot + self.cycle
+            return
         if self.id_match is not None:
             self.time_wait += 1
             if self.time_wait > self.cycle:
@@ -366,7 +372,6 @@ class ForwardNode:
         if self._got_ack:
             if self.state == "scan":
                 self.state = "send"
-                self.matched = True
                 self.match_slots.append(slot)
             # an acked closing frame ends the batch; anything generated
             # later in this session opens a new one so receivers re-lock
@@ -394,24 +399,12 @@ class ForwardNode:
 
     def _matched_failure(self, slot):
         self.failures += 1
-        wait = self.policy.failure_wait(self)
+        self.state = "recv"
         self.next_wake = self._wake_at_base(slot)
+        self._hold_until = slot + self.policy.failure_wait(self)
         self.clear_match()
-        if wait > 0:
-            self.state = "hold"
-            self._hold_until = slot + wait
-        else:
-            self.state = "recv"
-
-    def _finish_hold(self, slot):
-        if slot >= self._hold_until:
-            self.state = "recv"
-            self._finish_recv(slot)
-        else:
-            self.next_wake = slot + self.cycle
 
     def clear_match(self):
-        self.matched = False
         self.next_hop = None
         self.offset_forth = 0
 

@@ -26,10 +26,9 @@ def resolve_slot(transmissions, listeners, neighbors):
     transmitter.  listeners: iterable of node ids.  neighbors: the disk
     graph, node id -> ids in range (`Scenario.neighbors()`); a listener
     hears only the transmitters in its set.  Returns a dict mapping each
-    listener to a decoded frame, COLLISION, or None.  A node that
-    transmitted in this phase never decodes in it (half duplex); callers
-    normally exclude transmitters from `listeners`, and the guard here
-    backs them up.
+    listener to a decoded frame, COLLISION, or None.  This is the one
+    half-duplex rule: transmitters may be listed too, and a node that
+    transmitted in this phase decodes nothing in it (None).
     """
     tx_ids = {f.src for f, _ in transmissions}
     out = {}

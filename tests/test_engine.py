@@ -1,14 +1,14 @@
 """Engine contract: the horizon, quiescence before the first slot, dead
 nodes, reschedules into the past, the unscheduled listening sink, the
-jitter draw, and nodes parked at their offset, forwarding receivers
-among them."""
+jitter draw, half duplex per phase, and nodes parked at their offset,
+forwarding receivers among them."""
 
 import dataclasses
 
 import pytest
 
-from icroute.core import (SINK, ChargingSpec, DataFrame, HopFrame, NodePlacement,
-                          Scenario)
+from icroute.core import (SINK, AckFrame, ChargingSpec, DataFrame, HopFrame,
+                          NodePlacement, Scenario)
 from icroute.engine import Countdown, Engine, park_deadline
 from icroute.forwarding import CachedPolicy, ForwardNode, ForwardSink, run_forwarding
 from icroute.radio import MICRO_SLOTS, EventTrace, derive_rng_stream
@@ -127,6 +127,52 @@ def test_jitter_draws_are_randrange_draws():
 HOP = HopFrame(src=1, hop=1, round_no=0)
 
 
+class Echo(Beacon):
+    """Answers every data frame it hears with an ack from `nid`."""
+
+    def __init__(self, nid, first, period, frame=None):
+        super().__init__(first, period, frame)
+        self.nid = nid
+        self.acks = []
+
+    def on_data(self, slot, frame):
+        super().on_data(slot, frame)
+        return AckFrame(src=self.nid, ack_dst=frame.src)
+
+    def on_ack(self, slot, frame):
+        self.acks.append((slot, frame))
+
+
+def test_half_duplex_holds_per_phase():
+    # nodes 2 and 3 both answer node 1's frame in the ack phase of slot
+    # 9: neither decodes that phase, while node 1, which sent only in the
+    # data phase, decodes the lower-jitter ack or hears them collide
+    outcomes = set()
+    for seed in range(32):
+        sc = dataclasses.replace(line_field((1, 5.0), (2, 6.0), (3, 7.0)),
+                                 seed=seed)
+        sender = Echo(1, 9, 100, HOP)
+        answers = {2: Echo(2, 9, 100), 3: Echo(3, 9, 100)}
+        trace = EventTrace()
+        Engine(sc, {1: sender, **answers}, ForwardSink(Countdown()),
+               trace=trace).run(9)
+        jitter = {nid: derive_rng_stream(seed, nid, "jitter").randrange(MICRO_SLOTS)
+                  for nid in answers}
+        assert all(b.acks == [] for b in answers.values())
+        got = [(e.node, e.kind, e.detail.get("src")) for e in trace.events
+               if e.kind in ("rxa", "collision")]
+        if jitter[2] == jitter[3]:
+            assert got == [(SINK, "collision", None), (1, "collision", None)]
+            assert sender.acks == []
+            outcomes.add("collision")
+        else:
+            first = min(answers, key=jitter.get)
+            assert got == [(SINK, "rxa", first), (1, "rxa", first)]
+            assert [f.src for _, f in sender.acks] == [first]
+            outcomes.add("decoded")
+    assert outcomes == {"collision", "decoded"}
+
+
 class Burst(Beacon):
     """Sends HOP in each slot of `slots`, then stops."""
 
@@ -227,6 +273,15 @@ def test_node_that_leaves_parking_drops_its_deadline():
     assert listener.polled == [14]
     assert listener.finished == [9, 14]
     assert all(2 not in ids for ids in engine._calendar)
+
+
+def test_parked_deadline_off_its_offset_raises():
+    # the calendar is kept by offset alone, so a parked node whose
+    # deadline (34, offset 4) is not at its listen offset (3) is an error
+    listener = Parked(offset=3, plan=[33, 34])
+    with pytest.raises(RuntimeError, match="parked off its offset"):
+        park_run(listener)
+    assert listener.finished == [9]
 
 
 def test_parked_and_scheduled_listeners_hear_in_node_id_order():

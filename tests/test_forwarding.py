@@ -202,10 +202,11 @@ def test_matched_failure_holds_then_rescans(monkeypatch):
     # next hop dies: six straight misses trip the failure at slot 45
     sent = drive(node, until=45)
     assert [s for s, _ in sent] == [15, 21, 27, 33, 39, 45]
-    assert node.state == "hold" and not node.matched
     assert node.failures == 1
     wait = failure_recovery_wait(node.spec)
     assert wait == 24
+    assert node.state == "recv" and node._hold_until == 45 + wait
+    assert not node.matched
     # silent for the whole hold, then the scan starts over from base
     sent = drive(node, until=45 + wait + 40)
     assert sent and sent[0][0] == 81
