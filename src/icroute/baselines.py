@@ -23,7 +23,10 @@ from .radio import derive_rng_stream
 
 class ContinuousSyncPolicy:
     """Shared machinery for the no-cache strategies: after every
-    delivered frame the node realigns before sending the next one."""
+    delivered frame the node realigns before sending the next one.
+
+    So a matched session never sends, its next hop never fails, and
+    these strategies need no failure wait."""
 
     def after_batch(self, node):
         node.clear_match()
@@ -34,9 +37,6 @@ class ContinuousSyncPolicy:
 
     def on_scan_exhausted(self, node):
         pass
-
-    def failure_wait(self, node):
-        return 0
 
 
 class FixedHopPolicy(ContinuousSyncPolicy):

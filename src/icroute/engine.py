@@ -25,6 +25,9 @@ Node behaviors are plain objects with:
                           and listen_offset
     on_busy(slot)      -> None; optional carrier-sense hook, called when a
                           listener saw colliding energy it could not decode
+    on_death(slot)     -> None; optional, called once when the engine finds
+                          the node dead and drops it, so a behavior that
+                          counts toward the run's countdown can leave it
 
 Every finished node is filed again: its `next_wake`, which `finish`
 must move past the slot or clear, is queued as a (slot, id) heap entry.
@@ -144,9 +147,8 @@ class Engine:
                     awake.append(nid)
                 else:
                     self._drop(nid, slot)
-            if not awake:
-                continue
-            self._file(self._step(slot, awake, behaviors, res), slot)
+            if awake:
+                self._file(self._step(slot, awake, behaviors, res), slot)
             if pending is not None and pending.value == 0:
                 res.last_slot = slot
                 res.converged = True
@@ -184,6 +186,9 @@ class Engine:
         beh = self._all[nid]
         beh.next_wake = beh.listen_offset = None
         self._calendar[slot % self._cycle].discard(nid)
+        on_death = getattr(beh, "on_death", None)
+        if on_death is not None:
+            on_death(slot)
 
     def _pool(self, slot, awake):
         """The listeners of `slot`: the sink, then the scheduled nodes and

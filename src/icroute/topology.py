@@ -53,10 +53,12 @@ Listeners answer with an ack when a frame actually improved their
 state; a broadcaster keeps running passes (with a re-randomized
 rotation start) until two consecutive passes bring no new ackers.
 Every retry pass flips a coin at each working slot: transmit here and
-step the rotation, or just listen and stay.  Each offset is still
-covered exactly once, but two neighbors whose retries overlap are no
-longer transmit-only in lockstep, so they can actually hear each other
-mid-pass.
+step the rotation, or just listen and stay.  The node draws a step's
+whole run of coins when the pass steps, and parks at its new offset
+through the listen-only cycles until the transmit slot they pick.  Each
+offset is still covered exactly once, but two neighbors whose retries
+overlap are no longer transmit-only in lockstep, so they can actually
+hear each other mid-pass.
 
 A quiet broadcaster does not go silent at once.  It first sits in a
 listen-only cooldown until its own channel has been quiet for a
@@ -173,8 +175,10 @@ class TopoNode:
         self.listen_offset = None  # set while parked (see `_listen`)
         self.last_update = -1
         self.silence_window = node_silence_window(scenario)
-        # end of the listen in `listen` (silence before a probe scan),
-        # `lead_hold`, `cooldown` and `verify`
+        # end of the current listen: the silence before a probe scan in
+        # `listen`, the far wait in `lead_wait`, the next transmit slot of
+        # a pass in `bcast`, and the end of `lead_hold`, `cooldown` and
+        # `verify`; `finish` parks any node that is not done before it
         self._until = self.silence_window
         self.rng = derive_rng_stream(scenario.seed, node_id, "topo")
         self.pending = pending
@@ -188,7 +192,6 @@ class TopoNode:
         self._calls = []  # (slot, transmit) visits to stale children
         # broadcast bookkeeping
         self._round = 0  # rotation steps taken in this pass or probe scan
-        self._tx_now = False
         self._pass_no = 0
         self._cur_ackers = set()
         self._all_ackers = set()
@@ -235,7 +238,7 @@ class TopoNode:
             return HopFrame(src=self.id, hop=self.hop, round_no=self._vround)
         if self.state == "lead_wait" and self._calls and self._calls[0] == (slot, True):
             return HopFrame(src=self.id, hop=self.hop, round_no=self._stamp(slot))
-        if self.state == "bcast" and self._tx_now:
+        if self.state == "bcast" and slot == self._until:
             return HopFrame(src=self.id, hop=self.hop, round_no=self._stamp(slot))
         if self.state == "probe":
             return HopFrame(src=self.id, hop=NO_HOP, round_no=self.t)
@@ -270,31 +273,30 @@ class TopoNode:
             # nothing; try again once the channel drains
             self._enter_cooldown(slot)
 
+    def on_death(self, slot):
+        # a dead node never retires, so it stops holding up quiescence
+        self._set_done(True)
+
     def finish(self, slot):
         self.listen_offset = None
         if self._update_round is not None:
             self._enter_lead(slot, self._update_round)
             self._update_round = None
-            return
-        if self.state == "lead_wait":
-            self._advance_lead_wait(slot)
-            return
-        if self.state == "lead":
-            self._advance_lead()
-            return
-        if self.state == "bcast":
-            self._advance_pass(slot)
-            return
-        if self.state == "probe":
-            self._advance_probe(slot)
-            return
-        # the listening states: a done node listens for good; any other
-        # node in `listen` is unmapped and waits out the silence before a
-        # probe scan
-        if self.done:
+        elif self.done:
+            # a done node listens for good
             self._listen(slot, None)
         elif slot < self._until:
+            # any other listen runs to `_until`; past it, each state moves
+            # on at its deadline or transmit slot
             self._listen(slot, self._until)
+        elif self.state == "lead_wait":
+            self._advance_lead_wait(slot)
+        elif self.state == "lead":
+            self._advance_lead()
+        elif self.state == "bcast":
+            self._advance_pass(slot)
+        elif self.state == "probe":
+            self._advance_probe(slot)
         elif self.state == "lead_hold":
             self._finish_pass(slot)
         elif self.state == "cooldown":
@@ -425,8 +427,9 @@ class TopoNode:
         # transmission (always at least a cycle ahead)
         tx_slot = self._anchor + self._vround * self.round_len
         target = self._calls[0][0] if self._calls else tx_slot
-        if target - slot >= 2 * self.cycle:
-            self._listen(slot, target - 2 * self.cycle + 1)
+        self._until = target - 2 * self.cycle + 1
+        if slot < self._until:
+            self._listen(slot, self._until)
             return
         self.next_wake = target
         if target == tx_slot:
@@ -479,33 +482,25 @@ class TopoNode:
 
     def _enter_bcast(self, slot):
         """Start a retry or farewell pass (see the module docstring) from a
-        re-randomized rotation start."""
-        self.next_wake = slot + self.cycle + 1 + self.rng.randrange(self.cycle)
+        re-randomized rotation start; its first slot transmits."""
+        self._until = self.next_wake = \
+            slot + self.cycle + 1 + self.rng.randrange(self.cycle)
         self.state = "bcast"
         self._round = 0
         self._pass_no += 1
         self._cur_ackers = set()
         self._lone_pass = False
-        self._tx_now = True  # the first slot of a pass always transmits
-
-    def _coin(self):
-        # transmit here and step the rotation, or listen and stay
-        return self.rng.random() < 0.5
 
     def _advance_pass(self, slot):
-        if not self._tx_now:
-            # listen-only wake mid-pass: hold this offset, coin again
-            self.next_wake = slot + self.cycle
-            self._tx_now = self._coin()
+        if self._round == self.t:
+            self._finish_pass(slot)
             return
-        if self._round < self.t:
-            self._round += 1
-            # step the rotation one offset; a retry pass may sit there
-            # listening for a few cycles before it transmits
-            self.next_wake = slot + self.cycle + 1
-            self._tx_now = self._coin()
-            return
-        self._finish_pass(slot)
+        # step the rotation one offset, then flip a coin at each working
+        # slot there: transmit, or listen a cycle (parked) and flip again
+        self._round += 1
+        self._until = self.next_wake = slot + self.cycle + 1
+        while self.rng.random() >= 0.5:
+            self._until += self.cycle
 
     def _finish_pass(self, slot):
         new = self._cur_ackers - self._all_ackers

@@ -1,7 +1,7 @@
 """Engine contract: the horizon, quiescence before the first slot, dead
-nodes, reschedules into the past, the unscheduled listening sink, the
-jitter draw, half duplex per phase, and nodes parked at their offset,
-forwarding receivers among them."""
+nodes and their `on_death` hook, reschedules into the past, the
+unscheduled listening sink, the jitter draw, half duplex per phase, and
+nodes parked at their offset, forwarding receivers among them."""
 
 import dataclasses
 
@@ -74,6 +74,33 @@ def test_dead_node_is_never_polled_again():
     assert doomed.next_wake is None
     assert survivor.polled == list(range(0, 31, 3))
     assert not res.converged and res.last_slot == 30
+
+
+class Mortal(Beacon):
+    """Holds one unit of `pending` until the engine reports its death."""
+
+    def __init__(self, first, period, pending):
+        super().__init__(first, period)
+        self.pending = pending
+        pending.value += 1
+        self.deaths = []
+
+    def on_death(self, slot):
+        self.deaths.append(slot)
+        self.pending.value -= 1
+
+
+def test_dead_node_leaves_the_countdown_once():
+    # the drop at slot 12 is the run's last event: no node is awake
+    # there, yet the run converges in that slot
+    pending = Countdown()
+    doomed = Mortal(0, 3, pending)
+    engine = Engine(line_field((1, 5.0), deaths={1: 10}), {1: doomed},
+                    ForwardSink(Countdown()))
+    res = engine.run(100, pending)
+    assert doomed.polled == [0, 3, 6, 9]
+    assert doomed.deaths == [12]
+    assert res.converged and res.last_slot == 12
 
 
 def test_reschedule_into_the_past_raises():
@@ -194,6 +221,10 @@ class Parked(Beacon):
         self.plan = list(plan)
         self.next_wake = self.plan.pop(0) if self.plan else None
         self.finished = []
+        self.deaths = []
+
+    def on_death(self, slot):
+        self.deaths.append(slot)
 
     def finish(self, slot):
         self.finished.append(slot)
@@ -299,6 +330,7 @@ def test_dead_parked_node_never_listens_again():
     engine, _ = park_run(listener, deaths={2: 12})
     assert listener.heard == [(9, HOP)]
     assert listener.finished == [9]
+    assert listener.deaths == [15]  # dropped as slot 15 lists its listeners
     assert listener.listen_offset is None and listener.next_wake is None
     assert all(2 not in ids for ids in engine._calendar)
 

@@ -240,6 +240,9 @@ def test_sender_wakes_follow_the_pendulum(t, base, rounds, fixed, acks):
         frame = node.poll(slot)
         if state == "scan":
             assert frame is not None  # a scan always has a message to try
+        # a continuous-sync sender rescans after every acked frame, so it
+        # never sends from `send` and never fails a matched next hop
+        assert frame is None or not fixed or state != "send"
         if frame is not None:
             if frames < len(acks) and acks[frames]:
                 node.on_ack(slot, AckFrame(src=PEER, ack_dst=node.id))
@@ -247,12 +250,12 @@ def test_sender_wakes_follow_the_pendulum(t, base, rounds, fixed, acks):
         node.finish(slot)
         idle = (node.id_match is None and not node.queue
                 and node.generated == rounds)
-        if state in ("recv", "hold") and node.state == "recv" and idle:
+        if state == "recv" and node.state == "recv" and idle:
             assert_parked(node)
         else:
             assert node.listen_offset is None
         last = {node.state: slot} if node.state == state else {}
-        if state in ("scan", "send") and node.state in ("recv", "hold"):
+        if state in ("scan", "send") and node.state == "recv":
             assert node.next_wake % cycle == base
 
 

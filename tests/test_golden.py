@@ -16,7 +16,8 @@ Generated fields are connected and lose no node, so two hand-built
 fields pin the mapping paths the grid never reaches (`HAND_BUILT`): a
 node out of everyone's range waits out its silence windows, runs every
 probe scan and ends unreachable; and a relay dies in its echo, while it
-is parked, so the engine drops it from the calendar mid-mapping.
+is parked, so the engine drops it from the calendar mid-mapping and the
+run still converges once the live nodes retire.
 """
 
 import hashlib
@@ -236,7 +237,7 @@ HAND_BUILT = {
     }),
     "dying-relay": (_dying_relay_field, {
         "topology/trace.ndjson": "54a481322aef76d1085370e8d3e5ebbb456f29d6e3bf96c314ebee71d536e898",
-        "topology.json": "1b87fb37f706e4bd137054d3f6f0f9b9ef155873a9a2d8e00b7c8a461c92b4f0",
+        "topology.json": "67c7ace54dcc0b4bfb6e538c99f0a17ef28ef663f3775ad338b6fe5a2f704a7a",
     }),
 }
 
@@ -256,3 +257,11 @@ def test_hand_built_mapping_matches_golden_digests(tmp_path, name):
             hashlib.sha256(topo_trace.ndjson().encode()).hexdigest(),
         "topology.json": _sha256(exported["topology.json"]),
     } == want
+
+
+def test_dying_relay_mapping_converges():
+    # the dead relay leaves the run's countdown when the engine drops it,
+    # so mapping quiesces well inside its horizon
+    topo = build_topology(_dying_relay_field())
+    assert topo.converged_at is not None
+    assert topo.run.last_slot < 3030  # the field's `max_slots`

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from icroute.core import ChargingSpec, NO_HOP, NodePlacement, SINK, Scenario
 from icroute.engine import Countdown
-from icroute.radio import EventTrace
+from icroute.radio import EventTrace, derive_rng_stream
 from icroute.topology import (
     DEPTH_SLACK,
     TopoNode,
@@ -236,3 +236,49 @@ def test_probe_scan_rotates_like_a_sync_scan():
     assert [b - a for a, b in zip(first, first[1:])] == [5, 5, 5]
     assert sorted(s % 4 for s in first) == [0, 1, 2, 3]
     assert res.unreachable == {1}
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(t=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+       offset=st.integers(0, 12))
+def test_retry_pass_parks_through_its_coin_runs(t, seed, offset):
+    # a lone node runs one retry pass from its working slot; the
+    # reference flips one coin per working slot: transmit and step the
+    # rotation, or listen a cycle and flip again
+    offset %= t + 1
+    c = t + 1
+    sc = line_scenario(1, t=t, seed=seed, offsets=[offset])
+    node = TopoNode(0, offset, sc.spec, sc, Countdown())
+    node.hop, node.next_hop, node._anchor = 1, SINK, offset
+    ref = derive_rng_stream(seed, 0, "topo")
+    slot = offset + c + 1 + ref.randrange(c)
+    working = []  # (slot, transmits) for every working slot of the pass
+    tx = True
+    while sum(w[1] for w in working) < t + 1:
+        working.append((slot, tx))
+        slot += c + 1 if tx else c
+        tx = ref.random() < 0.5
+    want = [s for s, tx in working if tx]
+
+    node._enter_bcast(offset)
+    sent = []
+    for i, (slot, tx) in enumerate(working):
+        first_here = i == 0 or working[i - 1][1]
+        if first_here or tx:
+            # a wake: the first slot at a new offset, or a transmit slot,
+            # which ends a parked run as its deadline
+            assert node.next_wake == slot
+            frame = node.poll(slot)
+            if frame is not None:
+                sent.append(slot)
+        else:
+            # parked at this offset until the next transmit slot; the
+            # node listens here only if it hears something
+            assert node.listen_offset == slot % c
+            assert node.next_wake == min(s for s in want if s > slot)
+            node.on_busy(slot)
+        node.finish(slot)
+        if not tx:
+            assert node.listen_offset == slot % c
+            assert node.next_wake == min(s for s in want if s > slot)
+    assert sent == want and len(sent) == t + 1
