@@ -30,10 +30,14 @@ Node behaviors are plain objects with:
                           counts toward the run's countdown can leave it
 
 Every finished node is filed again: its `next_wake`, which `finish`
-must move past the slot or clear, is queued as a (slot, id) heap entry.
-That `next_wake` is the only record of a deadline: a popped entry is
-live only while it equals it, and only once per slot.  A live node is
-polled and finished; a node that is dead at its wake loses its schedule.
+must move past the slot or clear, gets the node's id appended to that
+slot's wake bucket (slot -> ids), and the heap holds each slot that has
+a bucket once.  The engine pops a slot and takes its bucket whole; a
+bucket of more than one id is sorted and deduplicated, so the slot's
+nodes run in id order and once each.  That `next_wake` is the only
+record of a deadline: an id in a bucket is live only while its
+`next_wake` equals the bucket's slot.  A live node is polled and
+finished; a node that is dead at its wake loses its schedule.
 
 A behavior that only listens parks instead of waking every cycle: it
 sets `listen_offset` to the offset of its working slots and `next_wake`
@@ -43,7 +47,7 @@ in a calendar whose year is one cycle (offset -> parked ids).  A parked
 node listens in every processed slot at its offset without being
 polled, and it is finished only at its deadline or in a slot where it
 got `on_data`, `on_ack` or `on_busy`; its `finish` then parks it again
-or schedules it, and the deadline entry it leaves queued is no longer
+or schedules it, and the deadline it leaves in a bucket is no longer
 live.  A parked node found dead leaves the calendar and never listens
 again.  A parked node never makes the engine process a slot before its
 deadline.
@@ -106,7 +110,8 @@ class Engine:
         }
         self._cycle = scenario.spec.cycle
         self._calendar = [set() for _ in range(self._cycle)]  # offset -> ids
-        self._heap = []
+        self._heap = []  # each distinct slot that has a bucket, once
+        self._buckets = {}  # slot -> ids filed for it, in filing order
         self._file(self._all, -1)
 
     def _alive(self, nid, slot):
@@ -133,15 +138,17 @@ class Engine:
             res.converged = True
             return res
         heap = self._heap
+        buckets = self._buckets
         behaviors = self._all
         deaths = self.scenario.deaths
-        while heap and heap[0][0] <= max_slots:
-            slot = heap[0][0]
+        while heap and heap[0] <= max_slots:
+            slot = heapq.heappop(heap)
+            ids = buckets.pop(slot)
+            if len(ids) > 1:
+                ids = sorted(set(ids))
             awake = []
-            while heap and heap[0][0] == slot:
-                nid = heapq.heappop(heap)[1]
-                if (behaviors[nid].next_wake != slot
-                        or awake and awake[-1] == nid):
+            for nid in ids:
+                if behaviors[nid].next_wake != slot:
                     continue
                 if not deaths or self._alive(nid, slot):
                     awake.append(nid)
@@ -165,6 +172,7 @@ class Engine:
         calendar = self._calendar
         here = calendar[slot % cycle]
         heap = self._heap
+        buckets = self._buckets
         for nid in ids:
             beh = behaviors[nid]
             here.discard(nid)
@@ -177,12 +185,17 @@ class Engine:
             if wake is not None:
                 if wake <= slot:
                     raise RuntimeError(f"node {nid} rescheduled into the past")
-                heapq.heappush(heap, (wake, nid))
+                bucket = buckets.get(wake)
+                if bucket is None:
+                    buckets[wake] = [nid]
+                    heapq.heappush(heap, wake)
+                else:
+                    bucket.append(nid)
 
     def _drop(self, nid, slot):
-        """A dead node loses its schedule and its place in the calendar; a
-        deadline entry it leaves behind finds it dead, or not live, when it
-        pops."""
+        """A dead node loses its schedule and its place in the calendar; an
+        id it leaves in a wake bucket finds it dead, or not live, when the
+        bucket's slot pops."""
         beh = self._all[nid]
         beh.next_wake = beh.listen_offset = None
         self._calendar[slot % self._cycle].discard(nid)
@@ -204,12 +217,13 @@ class Engine:
         """Run one slot; returns every node it finished: the scheduled
         ones, then the parked ones that heard something."""
         trace = self.trace
+        draw = self._draw_jitter
 
         tx_a = []
         for nid in awake:
             frame = behaviors[nid].poll(slot)
             if frame is not None:
-                tx_a.append((frame, self._draw_jitter(nid)))
+                tx_a.append((frame, draw(nid)))
                 if trace:
                     trace.add(slot, nid, "tx", frame=type(frame).__name__)
         if not tx_a:
@@ -222,9 +236,10 @@ class Engine:
         listeners = self._pool(slot, awake)
         decode_a = resolve_slot(tx_a, listeners, self.neighbors)
 
+        # the decode dicts hold only listeners that heard something, in
+        # listener order
         tx_b = []
-        for nid in listeners:
-            got = decode_a.get(nid)
+        for nid, got in decode_a.items():
             if got is COLLISION:
                 res.data_collisions += 1
                 if trace:
@@ -233,21 +248,18 @@ class Engine:
                 if busy is not None:
                     busy(slot)
                 continue
-            if got is None:
-                continue
             if trace:
                 trace.add(slot, nid, "rx", frame=type(got).__name__, src=got.src)
             resp = behaviors[nid].on_data(slot, got)
             if resp is not None:
-                tx_b.append((resp, self._draw_jitter(nid)))
+                tx_b.append((resp, draw(nid)))
                 if trace:
                     trace.add(slot, nid, "txr", frame=type(resp).__name__)
 
         decode_b = {}
         if tx_b:
             decode_b = resolve_slot(tx_b, listeners, self.neighbors)
-            for nid in listeners:
-                got = decode_b.get(nid)
+            for nid, got in decode_b.items():
                 if got is COLLISION:
                     res.ack_collisions += 1
                     if trace:
@@ -255,7 +267,7 @@ class Engine:
                     busy = getattr(behaviors[nid], "on_busy", None)
                     if busy is not None:
                         busy(slot)
-                elif got is not None:
+                else:
                     if trace:
                         trace.add(slot, nid, "rxa", frame=type(got).__name__, src=got.src)
                     behaviors[nid].on_ack(slot, got)
@@ -266,10 +278,10 @@ class Engine:
         if not parked:
             return awake
         # a parked listener that decoded a frame or heard a collision is
-        # finished in this slot too
-        touched = [nid for nid in listeners if nid in parked and nid not in awake
-                   and (decode_a.get(nid) is not None
-                        or decode_b.get(nid) is not None)]
+        # finished in this slot too, in listener order (SINK is never
+        # parked, and the rest of the list is in id order)
+        heard = decode_a.keys() | decode_b.keys()
+        touched = sorted((heard & parked).difference(awake))
         for nid in touched:
             behaviors[nid].finish(slot)
         return awake + touched

@@ -179,7 +179,7 @@ class ExperimentResult:
             key = f"p{int(q * 100)}"
             if lats:
                 qs[key] = quantile(lats, q)
-                qs_seconds[key] = quantile(lats, q) * scale
+                qs_seconds[key] = qs[key] * scale
             else:
                 qs[key] = None
                 qs_seconds[key] = None

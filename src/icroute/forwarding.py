@@ -191,9 +191,10 @@ class ForwardNode:
     # -- sender machinery ----------------------------------------------
 
     def poll(self, slot):
-        if self.state not in ("scan", "send") or not self.queue:
+        state = self.state
+        if state not in ("scan", "send") or not self.queue:
             return None
-        if self.state == "scan":
+        if state == "scan":
             self.offset_forth += 1
             self.scan_attempt_slots.append(slot)
         msg = self.queue.popleft()
@@ -202,7 +203,7 @@ class ForwardNode:
         self._flew_end = not self.queue
         return DataFrame(
             src=self.id,
-            dst=self.next_hop if self.state == "send" else self.scan_target,
+            dst=self.next_hop if state == "send" else self.scan_target,
             src_hop=self.hop,
             origin=msg.origin,
             seq=msg.seq,
@@ -295,13 +296,15 @@ class ForwardNode:
 
     def finish(self, slot):
         self.listen_offset = None
-        self._generate(slot)
-        if self.state == "recv":
+        if self.generated < self.rounds:
+            self._generate(slot)
+        state = self.state
+        if state == "recv":
             self._finish_recv(slot)
-        elif self.state in ("scan", "send"):
+        elif state in ("scan", "send"):
             self._finish_sender(slot)
         else:
-            raise AssertionError(f"unknown state {self.state}")
+            raise AssertionError(f"unknown state {state}")
 
     def _finish_recv(self, slot):
         if slot < self._hold_until:

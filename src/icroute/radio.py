@@ -25,16 +25,16 @@ def resolve_slot(transmissions, listeners, neighbors):
     transmissions: list of (frame, jitter) with frame.src identifying the
     transmitter.  listeners: iterable of node ids.  neighbors: the disk
     graph, node id -> ids in range (`Scenario.neighbors()`); a listener
-    hears only the transmitters in its set.  Returns a dict mapping each
-    listener to a decoded frame, COLLISION, or None.  This is the one
-    half-duplex rule: transmitters may be listed too, and a node that
-    transmitted in this phase decodes nothing in it (None).
+    hears only the transmitters in its set.  Returns a dict, in listener
+    order, that maps each listener that heard something to the frame it
+    decoded or to COLLISION; a listener missing from it heard nothing.
+    This is the one half-duplex rule: transmitters may be listed too, and
+    a node that transmitted in this phase hears nothing in it.
     """
     tx_ids = {f.src for f, _ in transmissions}
     out = {}
     for lid in listeners:
         if lid in tx_ids:
-            out[lid] = None
             continue
         near = neighbors[lid]
         best = None
@@ -47,7 +47,8 @@ def resolve_slot(transmissions, listeners, neighbors):
                 best, best_jitter, tied = frame, jitter, False
             elif jitter == best_jitter:
                 tied = True
-        out[lid] = COLLISION if tied else best
+        if best is not None:
+            out[lid] = COLLISION if tied else best
     return out
 
 

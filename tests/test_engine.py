@@ -1,7 +1,8 @@
 """Engine contract: the horizon, quiescence before the first slot, dead
 nodes and their `on_death` hook, reschedules into the past, the
-unscheduled listening sink, the jitter draw, half duplex per phase, and
-nodes parked at their offset, forwarding receivers among them."""
+unscheduled listening sink, the jitter draw, half duplex per phase, one
+wake bucket per slot, and nodes parked at their offset, forwarding
+receivers among them."""
 
 import dataclasses
 
@@ -241,10 +242,61 @@ def test_parked_node_hears_without_a_heap_entry():
     listener = Parked(offset=3)
     engine = Engine(line_field((1, 5.0), (2, 8.0)),
                     {1: Burst([9]), 2: listener}, ForwardSink(Countdown()))
-    assert [nid for _, nid in engine._heap] == [1]
+    # one wake slot, 9, whose bucket holds node 1 alone
+    assert engine._heap == [9] and engine._buckets == {9: [1]}
     engine.run(20)
     assert listener.heard == [(9, HOP)]
     assert listener.polled == []
+
+
+class Logs:
+    """Appends (kind, id) to a shared `log` as the node is polled and
+    finished."""
+
+    def poll(self, slot):
+        self.log.append(("poll", self.nid))
+        return super().poll(slot)
+
+    def finish(self, slot):
+        self.log.append(("finish", self.nid))
+        super().finish(slot)
+
+
+class LoggedBeacon(Logs, Beacon):
+    pass
+
+
+class LoggedParked(Logs, Parked):
+    pass
+
+
+def test_wake_bucket_runs_each_node_once_in_id_order():
+    # slot 12 (offset 0) gets one bucket: node 4 parked with it as its
+    # deadline, then two filings out of id order with node 3 twice; nodes
+    # 5 and 6 are parked there with no deadline
+    log = []
+    sc = line_field((1, 5.0), (2, 6.0), (3, 7.0), (4, 8.0), (5, 9.0),
+                    (6, 9.5))
+    behaviors = {1: LoggedBeacon(None, 100, HOP), 2: LoggedBeacon(None, 100),
+                 3: LoggedBeacon(None, 100), 4: LoggedParked(0, plan=[12]),
+                 5: LoggedParked(0), 6: LoggedParked(0)}
+    for nid, beh in behaviors.items():
+        beh.nid, beh.log = nid, log
+    engine = Engine(sc, behaviors, ForwardSink(Countdown()))
+    for nid in (1, 2, 3):
+        behaviors[nid].next_wake = 12
+    engine._file([3, 1], 0)
+    engine._file([2, 3], 0)
+    assert engine._heap == [12] and engine._buckets == {12: [4, 3, 1, 2, 3]}
+    engine.run(20)
+    # the woken nodes in id order, then the touched parked ones
+    assert log == [("poll", 1), ("poll", 2), ("poll", 3), ("poll", 4),
+                   ("finish", 1), ("finish", 2), ("finish", 3),
+                   ("finish", 4), ("finish", 5), ("finish", 6)]
+    # the parked node heard node 1 at its deadline: finished once
+    assert behaviors[4].heard == [(12, HOP)]
+    assert behaviors[4].finished == [12]
+    assert all(behaviors[nid].polled == [12] for nid in (1, 2, 3, 4))
 
 
 def test_untouched_parked_node_is_neither_polled_nor_finished():
@@ -285,7 +337,8 @@ def test_moved_deadline_does_not_finish_twice(plan, last):
     engine, _ = park_run(listener, sends=(9, 15, 21), horizon=50)
     assert listener.finished == [9, 15, 21, last]
     assert listener.polled == [last]
-    assert not engine._heap  # every entry, live or not, was consumed
+    # every bucket, live or not, was consumed
+    assert not engine._heap and not engine._buckets
 
 
 def test_node_that_leaves_parking_drops_its_deadline():

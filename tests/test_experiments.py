@@ -1,11 +1,15 @@
 """Scenario generation, CDF math, and the export pipeline."""
 
+import filecmp
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from icroute.core import NO_HOP
+from icroute.baselines import STRATEGIES
+from icroute.core import NO_HOP, SINK, ChargingSpec, NodePlacement, Scenario
 from icroute.experiments import (
     CSV_HEADER,
     ExperimentConfig,
@@ -15,7 +19,7 @@ from icroute.experiments import (
     quantile,
     run_experiment,
 )
-from icroute.topology import bfs_hops
+from icroute.topology import bfs_hops, build_topology
 
 SMALL = ExperimentConfig(shape="square", n_nodes=50, t=5, rounds=1, seed=11)
 
@@ -160,3 +164,52 @@ def test_shared_scenario_reused_across_strategies():
         results[strategy] = run_experiment(cfg, scenario=sc, topo=topo)
     assert results["rics"].forward.created == results["otps"].forward.created
     assert results["rics"].topo is results["otps"].topo
+
+
+# integer coordinates put many pairs exactly on the 10 m boundary; the
+# sink sits in a corner, so deep, branching and cut-off fields all occur
+coords = st.integers(0, 18).map(float)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(points=st.lists(st.tuples(coords, coords), min_size=1, max_size=15),
+       t=st.integers(1, 6), seed=st.integers(0, 2**31 - 1),
+       strategy=st.sampled_from(STRATEGIES), data=st.data())
+def test_drawn_scenarios_map_least_hop_conserve_and_repeat(points, t, seed,
+                                                           strategy, data):
+    offsets = data.draw(st.lists(st.integers(0, t), min_size=len(points),
+                                 max_size=len(points)))
+    nodes = [NodePlacement(i, x, y, off)
+             for i, ((x, y), off) in enumerate(zip(points, offsets))]
+    scenario = Scenario(ChargingSpec(t), nodes, sink_xy=(0.0, 0.0),
+                        range_m=10.0, width=18.0, height=18.0, seed=seed)
+    topo = build_topology(scenario)
+    want = bfs_hops(scenario)
+    assert topo.hops == want
+
+    cfg = ExperimentConfig(n_nodes=len(nodes), t=t, strategy=strategy,
+                           rounds=2, seed=seed)
+    if NO_HOP in want.values() and strategy in ("fxcs", "rncs"):
+        # a cut-off node has no next hop to fix or draw
+        with pytest.raises(ValueError, match="strategy needs"):
+            run_experiment(cfg, scenario=scenario, topo=topo)
+        return
+    runs = [run_experiment(cfg, scenario=scenario, trace=True)
+            for _ in range(2)]
+    fwd = runs[0].forward
+    keys = [(d.origin, d.seq) for d in fwd.deliveries]
+    assert fwd.created == fwd.delivered + fwd.undelivered
+    assert len(keys) == len(set(keys)) == fwd.delivered
+    near = scenario.neighbors()
+    for d in fwd.deliveries:
+        # every hop of a delivered path is in range and moves sinkward
+        path = (*d.path, SINK)
+        assert all(b in near[a] for a, b in zip(path, path[1:]))
+        assert all(want[a] > want.get(b, 0) for a, b in zip(path, path[1:]))
+    with tempfile.TemporaryDirectory() as one, \
+            tempfile.TemporaryDirectory() as two:
+        first, second = runs[0].export(one), runs[1].export(two)
+        assert [os.path.relpath(p, one) for p in first] == \
+            [os.path.relpath(p, two) for p in second]
+        for a, b in zip(first, second):
+            assert filecmp.cmp(a, b, shallow=False), a
