@@ -15,15 +15,16 @@ from .experiments import SHAPES, ExperimentConfig, SparseAreaError, run_experime
 from .radio import derive_rng_stream
 from .sync import expected_scan_latency, find_best_p, sample_latencies
 
+_CONFIG = ExperimentConfig()  # the one source of the run defaults
 DEFAULTS = {
-    "shape": "square",
-    "nodes": 50,
-    "t": 50,
-    "strategy": "rics",
-    "rounds": 2,
-    "seed": 0,
+    "shape": _CONFIG.shape,
+    "nodes": _CONFIG.n_nodes,
+    "t": _CONFIG.t,
+    "strategy": _CONFIG.strategy,
+    "rounds": _CONFIG.rounds,
+    "seed": _CONFIG.seed,
     "out": "runs",
-    "slot_ms": 1.0,
+    "slot_ms": _CONFIG.slot_ms,
     "repeat": 1,
     "trace": False,
     "sync_bench": False,

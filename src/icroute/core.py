@@ -104,10 +104,6 @@ class Message:
     created_at: int
     path: tuple = ()
 
-    @property
-    def key(self) -> tuple:
-        return (self.origin, self.seq)
-
 
 @dataclass
 class NodePlacement:

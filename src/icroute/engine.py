@@ -20,14 +20,24 @@ Node behaviors are plain objects with:
                        parked at; then next_wake is its deadline
     poll(slot)         -> Frame to transmit in the data phase, or None
     on_data(slot, f)   -> response Frame for the ack phase, or None
-    on_ack(slot, f)    -> None; decoded ack-phase frame delivery
+    on_ack(slot, f)    -> None; what the node heard in the ack phase
     finish(slot)       -> None; end-of-slot transition, resets next_wake
                           and listen_offset
-    on_busy(slot)      -> None; optional carrier-sense hook, called when a
-                          listener saw colliding energy it could not decode
-    on_death(slot)     -> None; optional, called once when the engine finds
-                          the node dead and drops it, so a behavior that
-                          counts toward the run's countdown can leave it
+    on_death(slot)     -> None; optional, called once, at the node's death
+                          slot, so a behavior that counts toward the run's
+                          countdown can leave it
+
+`on_data` and `on_ack` get what a listener heard in their phase: a
+decoded frame, or COLLISION for colliding energy it could not decode,
+to which `on_data` answers None.
+
+Deaths are timed drops.  The engine reads `Scenario.deaths` once, when
+it is built: a death of an id it does not run, the sink's included,
+raises ValueError, and each death slot is filed in the wake heap (with
+an empty bucket if no node wakes there).  When a slot pops, every node
+whose death slot is at or before it is dropped before anything else
+runs: it loses its schedule and its place in the calendar, so it is
+never polled, finished or listed again, and its `on_death` fires.
 
 Every finished node is filed again: its `next_wake`, which `finish`
 must move past the slot or clear, gets the node's id appended to that
@@ -36,8 +46,8 @@ a bucket once.  The engine pops a slot and takes its bucket whole; a
 bucket of more than one id is sorted and deduplicated, so the slot's
 nodes run in id order and once each.  That `next_wake` is the only
 record of a deadline: an id in a bucket is live only while its
-`next_wake` equals the bucket's slot.  A live node is polled and
-finished; a node that is dead at its wake loses its schedule.
+`next_wake` equals the bucket's slot, and a live node is polled and
+finished.
 
 A behavior that only listens parks instead of waking every cycle: it
 sets `listen_offset` to the offset of its working slots and `next_wake`
@@ -46,16 +56,15 @@ would fire (`park_deadline`), or None.  The engine files parked nodes
 in a calendar whose year is one cycle (offset -> parked ids).  A parked
 node listens in every processed slot at its offset without being
 polled, and it is finished only at its deadline or in a slot where it
-got `on_data`, `on_ack` or `on_busy`; its `finish` then parks it again
-or schedules it, and the deadline it leaves in a bucket is no longer
-live.  A parked node found dead leaves the calendar and never listens
-again.  A parked node never makes the engine process a slot before its
-deadline.
+heard something; its `finish` then parks it again or schedules it, and
+the deadline it leaves in a bucket is no longer live.  A parked node
+never makes the engine process a slot before its deadline.
 
 The calendar needs no index of where each node is filed: a parked
 deadline must lie at the node's `listen_offset` (filing raises
 otherwise), and a touched node was heard at its offset, so a node
-finished or found dead in slot `s` can only be filed at `s % cycle`.
+finished in slot `s` can only be filed at `s % cycle`, and a dropped
+node at its own `listen_offset`.
 
 The sink is mains powered, so it listens in every processed slot,
 whether or not it scheduled the slot.  A sink that only listens sets
@@ -100,7 +109,6 @@ class RunResult:
 
 class Engine:
     def __init__(self, scenario: Scenario, behaviors, sink, trace=None):
-        self.scenario = scenario
         self.trace = trace
         self.neighbors = scenario.neighbors()  # the disk graph, for this run
         self._all = {**behaviors, SINK: sink}  # node id -> behavior
@@ -113,10 +121,15 @@ class Engine:
         self._heap = []  # each distinct slot that has a bucket, once
         self._buckets = {}  # slot -> ids filed for it, in filing order
         self._file(self._all, -1)
-
-    def _alive(self, nid, slot):
-        died = self.scenario.deaths.get(nid)
-        return died is None or slot < died
+        # (death slot, id), latest first: the next death is the last entry
+        self._deaths = sorted(((d, n) for n, d in scenario.deaths.items()),
+                              reverse=True)
+        for died, nid in self._deaths:
+            if nid not in behaviors:
+                raise ValueError(f"death of {nid}, which is not a node of this run")
+            if died not in self._buckets:
+                self._buckets[died] = []
+                heapq.heappush(self._heap, died)
 
     def _draw_jitter(self, nid):
         bits = self._jitter[nid]
@@ -140,20 +153,15 @@ class Engine:
         heap = self._heap
         buckets = self._buckets
         behaviors = self._all
-        deaths = self.scenario.deaths
+        deaths = self._deaths
         while heap and heap[0] <= max_slots:
             slot = heapq.heappop(heap)
+            while deaths and deaths[-1][0] <= slot:
+                self._drop(deaths.pop()[1], slot)
             ids = buckets.pop(slot)
             if len(ids) > 1:
                 ids = sorted(set(ids))
-            awake = []
-            for nid in ids:
-                if behaviors[nid].next_wake != slot:
-                    continue
-                if not deaths or self._alive(nid, slot):
-                    awake.append(nid)
-                else:
-                    self._drop(nid, slot)
+            awake = [nid for nid in ids if behaviors[nid].next_wake == slot]
             if awake:
                 self._file(self._step(slot, awake, behaviors, res), slot)
             if pending is not None and pending.value == 0:
@@ -194,22 +202,19 @@ class Engine:
 
     def _drop(self, nid, slot):
         """A dead node loses its schedule and its place in the calendar; an
-        id it leaves in a wake bucket finds it dead, or not live, when the
-        bucket's slot pops."""
+        id it leaves in a wake bucket is no longer live."""
         beh = self._all[nid]
+        if beh.listen_offset is not None:
+            self._calendar[beh.listen_offset].discard(nid)
         beh.next_wake = beh.listen_offset = None
-        self._calendar[slot % self._cycle].discard(nid)
         on_death = getattr(beh, "on_death", None)
         if on_death is not None:
             on_death(slot)
 
     def _pool(self, slot, awake):
         """The listeners of `slot`: the sink, then the scheduled nodes and
-        the live ones parked at its offset, in node-id order."""
+        the ones parked at its offset, in node-id order."""
         parked = self._calendar[slot % self._cycle]
-        if self.scenario.deaths:
-            for nid in [n for n in parked if not self._alive(n, slot)]:
-                self._drop(nid, slot)
         pool = sorted(parked.union(awake)) if parked else awake
         return pool if pool[0] == SINK else [SINK, *pool]
 
@@ -244,11 +249,7 @@ class Engine:
                 res.data_collisions += 1
                 if trace:
                     trace.add(slot, nid, "collision", phase="data")
-                busy = getattr(behaviors[nid], "on_busy", None)
-                if busy is not None:
-                    busy(slot)
-                continue
-            if trace:
+            elif trace:
                 trace.add(slot, nid, "rx", frame=type(got).__name__, src=got.src)
             resp = behaviors[nid].on_data(slot, got)
             if resp is not None:
@@ -264,13 +265,9 @@ class Engine:
                     res.ack_collisions += 1
                     if trace:
                         trace.add(slot, nid, "collision", phase="ack")
-                    busy = getattr(behaviors[nid], "on_busy", None)
-                    if busy is not None:
-                        busy(slot)
-                else:
-                    if trace:
-                        trace.add(slot, nid, "rxa", frame=type(got).__name__, src=got.src)
-                    behaviors[nid].on_ack(slot, got)
+                elif trace:
+                    trace.add(slot, nid, "rxa", frame=type(got).__name__, src=got.src)
+                behaviors[nid].on_ack(slot, got)
 
         for nid in awake:
             behaviors[nid].finish(slot)

@@ -193,11 +193,9 @@ class TopoNode:
         # broadcast bookkeeping
         self._round = 0  # rotation steps taken in this pass or probe scan
         self._pass_no = 0
-        self._cur_ackers = set()
-        self._all_ackers = set()
+        self._cur_ackers = False  # a neighbor acked this pass
         self._quiet_streak = 0
         self._farewells = 0
-        self._lone_pass = False
         self._scans_used = 0  # probe scans that came back empty
         # set in on_data/on_ack, consumed by finish
         self._update_round = None
@@ -245,6 +243,7 @@ class TopoNode:
         return None
 
     def on_data(self, slot, frame):
+        # any frame or collision heard is activity
         self._heard_activity(slot)
         if isinstance(frame, HopFrame):
             return self._consider(slot, frame)
@@ -254,15 +253,11 @@ class TopoNode:
         self._heard_activity(slot)
         if isinstance(frame, AckFrame):
             if self.state in ("bcast", "lead") and frame.ack_dst == self.id:
-                self._cur_ackers.add(frame.src)
+                self._cur_ackers = True
                 if self.state == "lead":
                     self._acked[frame.src] = (slot, self._vround)
         elif isinstance(frame, HopFrame):
             self._consider(slot, frame)
-
-    def on_busy(self, slot):
-        # colliding energy decodes to nothing, but it is still activity
-        self._heard_activity(slot)
 
     def _heard_activity(self, slot):
         """The channel is clearly not quiet: slide or void quiet-dependent state."""
@@ -302,7 +297,6 @@ class TopoNode:
         elif self.state == "cooldown":
             # the channel has stayed quiet: run a farewell pass
             self._enter_bcast(slot)
-            self._lone_pass = True
         elif self.state == "verify":
             # the farewell ran and the channel stayed silent around it
             self._farewells += 1
@@ -364,7 +358,6 @@ class TopoNode:
         """
         self._pass_no = 0
         self._quiet_streak = 0
-        self._all_ackers = set()
         self._farewells = 0
         self._calls = self._plan_calls(slot)
         self._acked = {}
@@ -436,8 +429,7 @@ class TopoNode:
             self.state = "lead"
             self._acked = {}
             self._pass_no += 1
-            self._cur_ackers = set()
-            self._lone_pass = False
+            self._cur_ackers = False
 
     def _lead_plan(self, anchor, v0):
         """Schedule of a lead pass anchored at `anchor` that joins at round v0.
@@ -488,8 +480,7 @@ class TopoNode:
         self.state = "bcast"
         self._round = 0
         self._pass_no += 1
-        self._cur_ackers = set()
-        self._lone_pass = False
+        self._cur_ackers = False
 
     def _advance_pass(self, slot):
         if self._round == self.t:
@@ -503,10 +494,12 @@ class TopoNode:
             self._until += self.cycle
 
     def _finish_pass(self, slot):
-        new = self._cur_ackers - self._all_ackers
-        self._all_ackers |= self._cur_ackers
-        lone = self._lone_pass
-        self._lone_pass = False
+        # a neighbor acks at most once per hop we lead with (hops never
+        # grow), so any acker of a pass is a new one
+        new = self._cur_ackers
+        # a lead pass starts on a quiet streak of 0 and a retry pass below
+        # QUIET_PASSES: only a farewell pass starts on a full one
+        lone = self._quiet_streak >= QUIET_PASSES
         if new:
             self._quiet_streak = 0
             self._farewells = 0

@@ -67,12 +67,11 @@ def test_delay_covers_all_offsets():
     assert seen == set(range(10))
 
 
-def test_message_key_and_path():
+def test_message_fields_and_path():
     m = Message(origin=7, seq=3, created_at=100)
-    assert m.key == (7, 3)
-    assert m.path == ()
+    assert (m.origin, m.seq, m.created_at, m.path) == (7, 3, 100, ())
     m2 = Message(origin=7, seq=3, created_at=100, path=(7, 4))
-    assert m2.key == m.key
+    assert m2.path == (7, 4)
 
 
 def test_scenario_positions_include_sink():

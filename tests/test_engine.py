@@ -1,8 +1,8 @@
-"""Engine contract: the horizon, quiescence before the first slot, dead
-nodes and their `on_death` hook, reschedules into the past, the
-unscheduled listening sink, the jitter draw, half duplex per phase, one
-wake bucket per slot, and nodes parked at their offset, forwarding
-receivers among them."""
+"""Engine contract: the horizon, quiescence before the first slot, deaths
+as timed drops with their `on_death` hook, reschedules into the past,
+the unscheduled listening sink, the jitter draw, half duplex per phase,
+collisions reaching `on_data` and `on_ack`, one wake bucket per slot,
+and nodes parked at their offset, forwarding receivers among them."""
 
 import dataclasses
 
@@ -12,7 +12,7 @@ from icroute.core import (SINK, AckFrame, ChargingSpec, DataFrame, HopFrame,
                           NodePlacement, Scenario)
 from icroute.engine import Countdown, Engine, park_deadline
 from icroute.forwarding import CachedPolicy, ForwardNode, ForwardSink, run_forwarding
-from icroute.radio import MICRO_SLOTS, EventTrace, derive_rng_stream
+from icroute.radio import COLLISION, MICRO_SLOTS, EventTrace, derive_rng_stream
 
 
 def line_field(*nodes, deaths=None):
@@ -92,16 +92,24 @@ class Mortal(Beacon):
 
 
 def test_dead_node_leaves_the_countdown_once():
-    # the drop at slot 12 is the run's last event: no node is awake
-    # there, yet the run converges in that slot
+    # the drop at the death slot, 10, is the run's last event: no node
+    # wakes there, yet the run converges in that slot
     pending = Countdown()
     doomed = Mortal(0, 3, pending)
     engine = Engine(line_field((1, 5.0), deaths={1: 10}), {1: doomed},
                     ForwardSink(Countdown()))
     res = engine.run(100, pending)
     assert doomed.polled == [0, 3, 6, 9]
-    assert doomed.deaths == [12]
-    assert res.converged and res.last_slot == 12
+    assert doomed.deaths == [10]
+    assert res.converged and res.last_slot == 10
+
+
+@pytest.mark.parametrize("deaths", [{3: 10}, {SINK: 10}],
+                         ids=["unknown-id", "sink"])
+def test_death_of_a_node_the_run_lacks_raises(deaths):
+    sc = line_field((1, 5.0), (2, 5.0), (3, 5.0), deaths=deaths)
+    with pytest.raises(ValueError, match="not a node of this run"):
+        Engine(sc, {1: Beacon(0, 3), 2: Beacon(0, 3)}, ForwardSink(Countdown()))
 
 
 def test_reschedule_into_the_past_raises():
@@ -165,6 +173,8 @@ class Echo(Beacon):
 
     def on_data(self, slot, frame):
         super().on_data(slot, frame)
+        if frame is COLLISION:
+            return None
         return AckFrame(src=self.nid, ack_dst=frame.src)
 
     def on_ack(self, slot, frame):
@@ -191,7 +201,7 @@ def test_half_duplex_holds_per_phase():
                if e.kind in ("rxa", "collision")]
         if jitter[2] == jitter[3]:
             assert got == [(SINK, "collision", None), (1, "collision", None)]
-            assert sender.acks == []
+            assert sender.acks == [(9, COLLISION)]
             outcomes.add("collision")
         else:
             first = min(answers, key=jitter.get)
@@ -236,6 +246,24 @@ def park_run(listener, x=8.0, sends=(9, 15, 21), horizon=40, deaths=None):
     sc = line_field((1, 5.0), (2, x), deaths=deaths)
     engine = Engine(sc, {1: Burst(sends), 2: listener}, ForwardSink(Countdown()))
     return engine, engine.run(horizon)
+
+
+def test_collision_reaches_on_data_and_touches_a_parked_node():
+    # nodes 1 and 3 both send at slot 9 with equal jitter: the parked
+    # node 2 between them hears a collision, which `on_data` gets, and it
+    # is finished in that slot
+    seed = next(s for s in range(64) if len({
+        derive_rng_stream(s, nid, "jitter").randrange(MICRO_SLOTS)
+        for nid in (1, 3)}) == 1)
+    sc = dataclasses.replace(line_field((1, 5.0), (2, 6.0), (3, 7.0)),
+                             seed=seed)
+    other = Burst([9])
+    other.frame = HopFrame(src=3, hop=1, round_no=0)
+    listener = Parked(offset=3)
+    Engine(sc, {1: Burst([9]), 2: listener, 3: other},
+           ForwardSink(Countdown())).run(20)
+    assert listener.heard == [(9, COLLISION)]
+    assert listener.finished == [9] and listener.polled == []
 
 
 def test_parked_node_hears_without_a_heap_entry():
@@ -383,7 +411,7 @@ def test_dead_parked_node_never_listens_again():
     engine, _ = park_run(listener, deaths={2: 12})
     assert listener.heard == [(9, HOP)]
     assert listener.finished == [9]
-    assert listener.deaths == [15]  # dropped as slot 15 lists its listeners
+    assert listener.deaths == [12]  # dropped at its death slot
     assert listener.listen_offset is None and listener.next_wake is None
     assert all(2 not in ids for ids in engine._calendar)
 

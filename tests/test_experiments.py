@@ -19,6 +19,7 @@ from icroute.experiments import (
     quantile,
     run_experiment,
 )
+from icroute.radio import EventTrace
 from icroute.topology import bfs_hops, build_topology
 
 SMALL = ExperimentConfig(shape="square", n_nodes=50, t=5, rounds=1, seed=11)
@@ -166,6 +167,16 @@ def test_shared_scenario_reused_across_strategies():
     assert results["rics"].topo is results["otps"].topo
 
 
+def assert_same_exports(run_a, run_b):
+    with tempfile.TemporaryDirectory() as one, \
+            tempfile.TemporaryDirectory() as two:
+        first, second = run_a.export(one), run_b.export(two)
+        assert [os.path.relpath(p, one) for p in first] == \
+            [os.path.relpath(p, two) for p in second]
+        for a, b in zip(first, second):
+            assert filecmp.cmp(a, b, shallow=False), a
+
+
 # integer coordinates put many pairs exactly on the 10 m boundary; the
 # sink sits in a corner, so deep, branching and cut-off fields all occur
 coords = st.integers(0, 18).map(float)
@@ -206,10 +217,48 @@ def test_drawn_scenarios_map_least_hop_conserve_and_repeat(points, t, seed,
         path = (*d.path, SINK)
         assert all(b in near[a] for a, b in zip(path, path[1:]))
         assert all(want[a] > want.get(b, 0) for a, b in zip(path, path[1:]))
-    with tempfile.TemporaryDirectory() as one, \
-            tempfile.TemporaryDirectory() as two:
-        first, second = runs[0].export(one), runs[1].export(two)
-        assert [os.path.relpath(p, one) for p in first] == \
-            [os.path.relpath(p, two) for p in second]
-        for a, b in zip(first, second):
-            assert filecmp.cmp(a, b, shallow=False), a
+    assert_same_exports(*runs)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(points=st.lists(st.tuples(coords, coords), min_size=1, max_size=12),
+       t=st.integers(1, 5), seed=st.integers(0, 2**31 - 1),
+       strategy=st.sampled_from(STRATEGIES), data=st.data())
+def test_drawn_deaths_silence_the_dead_conserve_and_repeat(points, t, seed,
+                                                          strategy, data):
+    # least hop is not asserted: mapping may keep a dead next hop
+    n = len(points)
+    offsets = data.draw(st.lists(st.integers(0, t), min_size=n, max_size=n))
+    deaths = data.draw(st.dictionaries(st.integers(0, n - 1),
+                                       st.integers(0, 30 * (t + 1) * (t + 2))))
+    nodes = [NodePlacement(i, x, y, off)
+             for i, ((x, y), off) in enumerate(zip(points, offsets))]
+    scenario = Scenario(ChargingSpec(t), nodes, sink_xy=(0.0, 0.0),
+                        range_m=10.0, width=18.0, height=18.0, seed=seed,
+                        deaths=deaths)
+    cfg = ExperimentConfig(n_nodes=n, t=t, strategy=strategy, rounds=2,
+                           seed=seed)
+
+    def run():
+        mapping = EventTrace()
+        topo = build_topology(scenario, trace=mapping)
+        if NO_HOP in topo.hops.values() and strategy in ("fxcs", "rncs"):
+            with pytest.raises(ValueError, match="strategy needs"):
+                run_experiment(cfg, scenario=scenario, topo=topo)
+            return mapping, None
+        return mapping, run_experiment(cfg, scenario=scenario, topo=topo,
+                                       trace=True)
+
+    (mapping, res), (mapping_again, res_again) = run(), run()
+    assert mapping.ndjson() == mapping_again.ndjson()
+    events = mapping.events + (res.trace.events if res else [])
+    for e in events:
+        for nid in (e.node, e.detail.get("src")):
+            assert nid not in deaths or e.slot < deaths[nid], e
+    if res is None:
+        return
+    fwd = res.forward
+    keys = [(d.origin, d.seq) for d in fwd.deliveries]
+    assert fwd.created == fwd.delivered + fwd.undelivered
+    assert len(keys) == len(set(keys)) == fwd.delivered
+    assert_same_exports(res, res_again)

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from icroute.core import ChargingSpec, NO_HOP, NodePlacement, SINK, Scenario
 from icroute.engine import Countdown
-from icroute.radio import EventTrace, derive_rng_stream
+from icroute.radio import COLLISION, EventTrace, derive_rng_stream
 from icroute.topology import (
     DEPTH_SLACK,
     TopoNode,
@@ -276,7 +276,7 @@ def test_retry_pass_parks_through_its_coin_runs(t, seed, offset):
             # node listens here only if it hears something
             assert node.listen_offset == slot % c
             assert node.next_wake == min(s for s in want if s > slot)
-            node.on_busy(slot)
+            assert node.on_data(slot, COLLISION) is None
         node.finish(slot)
         if not tx:
             assert node.listen_offset == slot % c
