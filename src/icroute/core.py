@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 # is a dense non-negative integer.
 SINK = -1
 
-# Hop value used before a node learns a route, and in probe frames.  Kept
-# as a large int so ordinary "frame.hop + 1 < hop" comparisons just work.
+# Hop value of a node that has not learned a route.  Kept as a large int
+# so ordinary "frame.hop + 1 < hop" comparisons just work.
 NO_HOP = 1 << 30
 
 

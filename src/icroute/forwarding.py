@@ -441,13 +441,18 @@ def run_forwarding(scenario: Scenario, hops: dict, rounds: int = 1,
 
     `hops` maps node id to hop count (from the topology stage).
     `policies` maps node id to a strategy object; nodes default to the
-    caching strategy.
+    caching strategy.  The run waits only for the readings of nodes
+    with a hop: after a least-hop mapping, a node without one has no
+    neighbor with a hop and is out of the sink's range, so no one takes
+    its frames, and the readings it has made when the run ends are
+    reported undelivered.
     """
     if max_slots is None:
         t = scenario.spec.charge_slots
         depth = max((h for h in hops.values() if h != NO_HOP), default=1)
         max_slots = (rounds + 2 * depth + 40) * (t + 1) * (t + 1)
-    pending = Countdown(len(scenario.nodes) * rounds)
+    routed = sum(hops.get(p.node_id, NO_HOP) != NO_HOP for p in scenario.nodes)
+    pending = Countdown(routed * rounds)
     sink = ForwardSink(pending)
     default_policy = CachedPolicy()
     nodes = {}

@@ -71,13 +71,17 @@ from being spent while the neighborhood is still loud, and leaves the
 last word to a pass transmitted into drained air, where one clean
 exchange is enough for a straggling neighbor to correct us or adopt us.
 
-Two repair paths keep stragglers out of the steady state:
+A listener that decodes a frame claiming a hop at least two above its
+own answers in the ack phase with its own hop frame, which the
+(half-duplex, but ack-phase listening) broadcaster applies at once.
 
-* a listener that decodes a frame claiming a hop at least two above its
-  own answers in the ack phase with its own hop frame, which the
-  (half-duplex, but ack-phase listening) broadcaster applies at once;
-* a node that has heard no finite hop frame for a long window transmits
-  a probe, and any settled neighbor answers the same way.
+The run is over when nothing is left to send (Dijkstra & Scholten,
+*Termination detection for diffusing computations*, 1980): the sink
+holds the run's countdown through its pass, and a node holds it from
+the hop it learns until it retires, so a node that never hears a hop
+never holds it.  Only these senders start a frame, and a struggler
+reply only answers one, so at a count of zero no frame will ever be
+sent again, and a node still without a hop is unreachable in fact.
 """
 
 from __future__ import annotations
@@ -90,26 +94,8 @@ from .engine import Countdown, Engine, RunResult, park_deadline
 from .radio import derive_rng_stream
 
 
-# A straight-line hop estimate undercounts the depth of sparse fields
-# (generated 40x80 m fields run 11-20 hops against an estimate of 9), so
-# a node waits out this many estimates of silence before it probes.
-DEPTH_SLACK = 2
 QUIET_PASSES = 2  # passes without new ackers before a broadcaster cools down
 FAREWELL_PASSES = 2  # lone post-cooldown passes that must stay quiet
-PROBE_SCANS = 3  # full offset scans (each behind a fresh silence window)
-
-
-def max_hop_estimate(scenario: Scenario) -> int:
-    """Hop-count ceiling used to size the probe silence window."""
-    diag = math.hypot(scenario.width, scenario.height)
-    return max(1, math.ceil(diag / scenario.range_m))
-
-
-def node_silence_window(scenario: Scenario) -> int:
-    """Silence a node waits out before it probes: one full offset scan,
-    (t+1)(t+2) slots, per hop of DEPTH_SLACK hop estimates."""
-    t = scenario.spec.charge_slots
-    return (t + 1) * (t + 2) * DEPTH_SLACK * max_hop_estimate(scenario)
 
 
 @dataclass
@@ -119,9 +105,14 @@ class TopoResult:
     known_lower: dict  # node id -> ids heard sending a finite hop
     topo_time: int
     converged_at: int | None
-    unreachable: set
     passes: dict
     run: RunResult
+
+    @property
+    def unreachable(self):
+        """Nodes left without a hop: once mapping has quiesced, no frame
+        can reach them."""
+        return {nid for nid, hop in self.hops.items() if hop == NO_HOP}
 
     def to_dict(self):
         return {
@@ -134,12 +125,17 @@ class TopoResult:
 
 
 class TopoSink:
-    """Transmits hop 0 once per slot for one full cycle, then just listens."""
+    """Transmits hop 0 once per slot for one full cycle, then just listens.
 
-    def __init__(self, spec: ChargingSpec):
+    It holds one count of the run's countdown until its last frame.
+    """
+
+    def __init__(self, spec: ChargingSpec, pending: Countdown):
         self.t = spec.charge_slots
         self.next_wake = self.t
         self.listen_offset = None
+        self.pending = pending
+        pending.value += 1
 
     def poll(self, slot):
         if self.t <= slot <= 2 * self.t:
@@ -153,13 +149,21 @@ class TopoSink:
         return None
 
     def finish(self, slot):
-        self.next_wake = slot + 1 if slot < 2 * self.t else None
+        if slot < 2 * self.t:
+            self.next_wake = slot + 1
+        else:
+            self.next_wake = None
+            self.pending.value -= 1
 
 
 class TopoNode:
-    """Per-node state machine: listen, wait for the relay point, broadcast."""
+    """Per-node state machine: listen, wait for the relay point, broadcast.
 
-    def __init__(self, node_id, offset, spec, scenario, pending: Countdown):
+    A node starts done, parked at its offset: it holds the run's countdown
+    only from the hop it learns until it retires.
+    """
+
+    def __init__(self, node_id, offset, spec, seed, pending: Countdown):
         self.id = node_id
         self.t = spec.charge_slots
         self.cycle = spec.cycle
@@ -171,19 +175,17 @@ class TopoNode:
         self.next_hop = None
         self.known_lower = set()
         self.state = "listen"
-        self.next_wake = offset
-        self.listen_offset = None  # set while parked (see `_listen`)
+        self.next_wake = None
+        self.listen_offset = offset  # set while parked (see `_listen`)
         self.last_update = -1
-        self.silence_window = node_silence_window(scenario)
-        # end of the current listen: the silence before a probe scan in
-        # `listen`, the far wait in `lead_wait`, the next transmit slot of
-        # a pass in `bcast`, and the end of `lead_hold`, `cooldown` and
-        # `verify`; `finish` parks any node that is not done before it
-        self._until = self.silence_window
-        self.rng = derive_rng_stream(scenario.seed, node_id, "topo")
+        # end of the current listen: the far wait in `lead_wait`, the next
+        # transmit slot of a pass in `bcast`, and the end of `lead_hold`,
+        # `cooldown` and `verify`; `finish` parks any node that is not
+        # done before it
+        self._until = 0
+        self.rng = derive_rng_stream(seed, node_id, "topo")
         self.pending = pending
-        self.done = False
-        pending.value += 1
+        self.done = True
         # lead pass bookkeeping
         self._anchor = None  # slot of locked round 0
         self._vround = 0  # locked round of the next transmission
@@ -191,18 +193,13 @@ class TopoNode:
         self._acked = {}  # acker -> (ack slot, locked round) in this lead pass
         self._calls = []  # (slot, transmit) visits to stale children
         # broadcast bookkeeping
-        self._round = 0  # rotation steps taken in this pass or probe scan
+        self._round = 0  # rotation steps taken in this pass
         self._pass_no = 0
         self._cur_ackers = False  # a neighbor acked this pass
         self._quiet_streak = 0
         self._farewells = 0
-        self._scans_used = 0  # probe scans that came back empty
         # set in on_data/on_ack, consumed by finish
         self._update_round = None
-
-    @property
-    def unreachable(self):
-        return self.hop == NO_HOP and self._scans_used >= PROBE_SCANS
 
     # -- helpers -------------------------------------------------------
 
@@ -214,18 +211,20 @@ class TopoNode:
         self.done = flag
 
     def _consider(self, slot, frame):
-        """Apply a decoded hop frame; return an ack-phase response or None."""
-        if frame.hop != NO_HOP:
-            self.known_lower.add(frame.src)
-        if frame.hop != NO_HOP and frame.hop + 1 < self.hop:
+        """Apply a decoded hop frame; return an ack-phase response or None.
+
+        Only a node with a hop sends one, so its hop is finite.
+        """
+        self.known_lower.add(frame.src)
+        if frame.hop + 1 < self.hop:
             self.hop = frame.hop + 1
             self.next_hop = frame.src
             self.last_update = slot
             self._update_round = frame.round_no
             self._set_done(False)
             return AckFrame(src=self.id, ack_dst=frame.src)
-        if self.hop != NO_HOP and frame.hop > self.hop + 1:
-            # struggler (or probe): answer with our own state
+        if frame.hop > self.hop + 1:
+            # struggler: answer with our own state
             return HopFrame(src=self.id, hop=self.hop, round_no=self._stamp(slot))
         return None
 
@@ -238,8 +237,6 @@ class TopoNode:
             return HopFrame(src=self.id, hop=self.hop, round_no=self._stamp(slot))
         if self.state == "bcast" and slot == self._until:
             return HopFrame(src=self.id, hop=self.hop, round_no=self._stamp(slot))
-        if self.state == "probe":
-            return HopFrame(src=self.id, hop=NO_HOP, round_no=self.t)
         return None
 
     def on_data(self, slot, frame):
@@ -290,8 +287,6 @@ class TopoNode:
             self._advance_lead()
         elif self.state == "bcast":
             self._advance_pass(slot)
-        elif self.state == "probe":
-            self._advance_probe(slot)
         elif self.state == "lead_hold":
             self._finish_pass(slot)
         elif self.state == "cooldown":
@@ -307,11 +302,7 @@ class TopoNode:
             else:
                 self._enter_cooldown(slot)
         else:
-            # run a full offset scan: transmit a probe each cycle, delaying
-            # one slot per attempt so every neighbor offset is visited once
-            self.state = "probe"
-            self._round = 0
-            self.next_wake = slot + self.cycle
+            raise AssertionError(f"unknown state {self.state!r}")
 
     def _listen(self, slot, until):
         """Park at this slot's offset (see `icroute.engine`).
@@ -528,36 +519,23 @@ class TopoNode:
         """End of a fresh quiet requirement: t+1 to 2t+2 random cycles."""
         return slot + self.rng.randrange(self.t + 1, 2 * self.t + 3) * self.cycle
 
-    def _advance_probe(self, slot):
-        self._round += 1
-        if self._round <= self.t:
-            self.next_wake = slot + self.cycle + 1
-            return
-        # one full scan came back empty
-        self._scans_used += 1
-        self.state = "listen"
-        if self.unreachable:
-            self._set_done(True)
-        else:
-            self._until = slot + self.silence_window  # a fresh silence first
-        self.next_wake = slot + self.cycle + 1
-
 
 def build_topology(scenario: Scenario, trace=None) -> TopoResult:
     pending = Countdown()
     nodes = {
-        p.node_id: TopoNode(p.node_id, p.offset, scenario.spec, scenario, pending)
+        p.node_id: TopoNode(p.node_id, p.offset, scenario.spec, scenario.seed,
+                            pending)
         for p in scenario.nodes
     }
-    sink = TopoSink(scenario.spec)
+    sink = TopoSink(scenario.spec, pending)
     t = scenario.spec.charge_slots
-    window = node_silence_window(scenario)
-    # probe scans, passes, and the worst case where every farewell
-    # (cooldown, randomized pass, verify window) serializes behind its
-    # neighbors' quiet requirements
-    max_slots = (PROBE_SCANS + 1) * window \
-        + (PROBE_SCANS + 4) * (t + 1) * (t + 2) \
-        + len(scenario.nodes) * FAREWELL_PASSES * 6 * (t + 1) * (t + 1)
+    # in passes of (t+1)(t+2) slots: the sink's, then every node's own
+    # run, as if each waited for the last: its relay wait, lead pass and
+    # echo, its retry passes (coin runs make one about two passes long)
+    # and its farewells (cooldown, randomized pass, verify window), each
+    # of which can wait out its neighbors' quiet requirements
+    node_passes = 3 + 2 * QUIET_PASSES + 6 * FAREWELL_PASSES
+    max_slots = (1 + len(scenario.nodes) * node_passes) * (t + 1) * (t + 2)
     engine = Engine(scenario, nodes, sink, trace=trace)
     run = engine.run(max_slots, pending)
     topo_time = max((n.last_update for n in nodes.values()), default=-1)
@@ -567,7 +545,6 @@ def build_topology(scenario: Scenario, trace=None) -> TopoResult:
         known_lower={nid: n.known_lower for nid, n in nodes.items()},
         topo_time=topo_time,
         converged_at=run.last_slot if run.converged else None,
-        unreachable={nid for nid, n in nodes.items() if n.unreachable},
         passes={nid: n._pass_no for nid, n in nodes.items()},
         run=run,
     )

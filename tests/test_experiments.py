@@ -20,7 +20,7 @@ from icroute.experiments import (
     run_experiment,
 )
 from icroute.radio import EventTrace
-from icroute.topology import bfs_hops, build_topology
+from icroute.topology import bfs_hops, build_topology, verify_least_hop
 
 SMALL = ExperimentConfig(shape="square", n_nodes=50, t=5, rounds=1, seed=11)
 
@@ -197,6 +197,9 @@ def test_drawn_scenarios_map_least_hop_conserve_and_repeat(points, t, seed,
     topo = build_topology(scenario)
     want = bfs_hops(scenario)
     assert topo.hops == want
+    # mapping quiesces and leaves exactly the cut-off nodes without a hop
+    assert topo.converged_at is not None
+    assert topo.unreachable == {n for n, h in want.items() if h == NO_HOP}
 
     cfg = ExperimentConfig(n_nodes=len(nodes), t=t, strategy=strategy,
                            rounds=2, seed=seed)
@@ -218,6 +221,23 @@ def test_drawn_scenarios_map_least_hop_conserve_and_repeat(points, t, seed,
         assert all(b in near[a] for a, b in zip(path, path[1:]))
         assert all(want[a] > want.get(b, 0) for a, b in zip(path, path[1:]))
     assert_same_exports(*runs)
+
+
+# Two generated fields whose mapping settles on a non-least hop today:
+# busy_relay --seed 23 (node 35 and its only hop-1 neighbor, node 92,
+# rotate in lockstep and never hear each other) and map_sweep --seed 27
+# (node 28 heard node 21 at hop 13 before node 21 improved to 12, and
+# nobody told node 28).  A termination repair that mends them turns these
+# into unexpected passes.
+@pytest.mark.xfail(strict=True, reason="mapping settles on a non-least hop")
+@pytest.mark.parametrize("shape,n,t,seed", [
+    pytest.param("rectangle", 100, 5, 474832730, id="busy_relay-s23"),
+    pytest.param("rectangle", 50, 50, 1787239602, id="map_sweep-s27"),
+])
+def test_known_non_least_hop_fields_map_least_hop(shape, n, t, seed):
+    scenario = generate_scenario(ExperimentConfig(shape=shape, n_nodes=n,
+                                                  t=t, seed=seed))
+    assert verify_least_hop(build_topology(scenario), scenario) == []
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)

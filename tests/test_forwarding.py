@@ -374,6 +374,23 @@ def test_line_delivers_everything_once():
     assert len(keys) == len(set(keys))
 
 
+def test_cut_off_node_does_not_hold_up_forwarding():
+    # node 1 is out of everyone's range, so mapping leaves it without a
+    # hop and no one ever takes its frames: the run ends when node 0's
+    # reading arrives, and node 1's reading is reported undelivered
+    spec = make_spec(2)
+    nodes = [NodePlacement(0, 8.0, 0.0, 1), NodePlacement(1, 60.0, 0.0, 2)]
+    sc = Scenario(spec=spec, nodes=nodes, sink_xy=(0.0, 0.0), range_m=10.0,
+                  width=70.0, height=1.0, seed=5)
+    topo = build_topology(sc)
+    assert topo.unreachable == {1}
+    res = run_forwarding(sc, topo.hops, rounds=1)
+    assert res.run.converged and res.run.last_slot == 5
+    assert [d.origin for d in res.deliveries] == [0]
+    assert res.generated_per_node == {0: 1, 1: 1}
+    assert res.undelivered == 1
+
+
 def test_line_paths_match_hop_counts():
     sc = line_scenario()
     topo = build_topology(sc)

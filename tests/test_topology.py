@@ -1,19 +1,17 @@
 import math
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from icroute.core import ChargingSpec, NO_HOP, NodePlacement, SINK, Scenario
 from icroute.engine import Countdown
 from icroute.radio import COLLISION, EventTrace, derive_rng_stream
 from icroute.topology import (
-    DEPTH_SLACK,
     TopoNode,
     TopoSink,
     bfs_hops,
     build_topology,
-    max_hop_estimate,
-    node_silence_window,
     verify_least_hop,
 )
 
@@ -94,17 +92,25 @@ def test_bfs_unreachable_is_no_hop():
 
 
 def test_sink_transmits_one_round_per_slot():
-    sink = TopoSink(ChargingSpec(5))
+    pending = Countdown()
+    sink = TopoSink(ChargingSpec(5), pending)
     assert sink.next_wake == 5
     frames = {s: sink.poll(s) for s in range(5, 11)}
     assert [frames[s].round_no for s in range(5, 11)] == [0, 1, 2, 3, 4, 5]
     assert all(f.hop == 0 and f.src == SINK for f in frames.values())
     assert sink.poll(4) is None and sink.poll(11) is None
+    # the sink holds one count through its pass and releases it after its
+    # last frame, at slot 2t
+    for slot in range(5, 10):
+        sink.finish(slot)
+        assert pending.value == 1 and sink.next_wake == slot + 1
+    sink.finish(10)
+    assert pending.value == 0 and sink.next_wake is None
 
 
 def _bare_node(t=5):
     sc = line_scenario(1, t=t)
-    return TopoNode(0, 0, sc.spec, sc, Countdown())
+    return TopoNode(0, 0, sc.spec, sc.seed, Countdown())
 
 
 def test_relay_anchor_is_a_round_past_half_a_pass():
@@ -196,46 +202,35 @@ def test_verify_flags_wrong_hop_and_parent():
     assert verify_least_hop(res, sc)
 
 
-def test_isolated_node_exhausts_probes():
+def test_isolated_node_transmits_nothing_and_ends_unreachable():
+    # node 1 never hears a hop, so it never holds the countdown: the run
+    # ends once node 0 retires, and node 1 sent nothing
     spec = ChargingSpec(2)
-    nodes = [NodePlacement(0, 8.0, 0.0, 1), NodePlacement(1, 60.0, 0.0, 2)]
-    sc = Scenario(spec, nodes, sink_xy=(0.0, 0.0), range_m=10.0,
-                  width=70.0, height=1.0, seed=5)
-    res = build_topology(sc)
-    assert res.hops[0] == 1
-    assert res.hops[1] == NO_HOP
-    assert res.unreachable == {1}
-    assert res.converged_at is not None
-
-
-def test_max_hop_estimate_scales_with_diagonal():
-    sc = line_scenario(2, spacing=90, range_m=100.0)
-    diag = math.hypot(sc.width, sc.height)
-    assert max_hop_estimate(sc) == math.ceil(diag / 100.0)
-
-
-def test_probe_silence_window_formula():
-    # 6 x 7 slots of silence per hop of DEPTH_SLACK hop estimates before
-    # a node starts probing
-    sc = line_scenario(2, spacing=90, range_m=100.0, t=5)
-    assert node_silence_window(sc) == 6 * 7 * DEPTH_SLACK * max_hop_estimate(sc)
-
-
-def test_probe_scan_rotates_like_a_sync_scan():
-    # a node that never hears anything probes every neighbor offset once
-    # per scan, delaying one slot each cycle exactly like the sender scan
-    spec = ChargingSpec(3)
     nodes = [NodePlacement(0, 8.0, 0.0, 1), NodePlacement(1, 60.0, 0.0, 2)]
     sc = Scenario(spec, nodes, sink_xy=(0.0, 0.0), range_m=10.0,
                   width=70.0, height=1.0, seed=5)
     trace = EventTrace()
     res = build_topology(sc, trace=trace)
-    probes = [e.slot for e in trace.events if e.node == 1 and e.kind == "tx"]
-    assert len(probes) == 12  # three full scans of t+1 attempts each
-    first = probes[:4]
-    assert [b - a for a, b in zip(first, first[1:])] == [5, 5, 5]
-    assert sorted(s % 4 for s in first) == [0, 1, 2, 3]
+    assert res.hops == {0: 1, 1: NO_HOP}
     assert res.unreachable == {1}
+    assert res.converged_at is not None
+    assert [e for e in trace.events if e.node == 1 and e.kind == "tx"] == []
+
+
+@pytest.mark.parametrize("n", [4, 0], ids=["out-of-range", "nodeless"])
+def test_field_nobody_hears_converges_after_the_sinks_pass(n):
+    # no node is in the sink's range, so nothing but its t+1 frames is
+    # ever sent and the run ends at slot 2t, when the sink releases its
+    # count; the nodes hear each other, but none of them has a hop
+    t = 3
+    nodes = [NodePlacement(i, 200.0 + 90.0 * i, 0.0, i % (t + 1))
+             for i in range(n)]
+    sc = Scenario(ChargingSpec(t), nodes, sink_xy=(0.0, 0.0), range_m=100.0,
+                  width=500.0, height=1.0, seed=3)
+    res = build_topology(sc)
+    assert res.converged_at == 2 * t
+    assert res.run.frames_sent == t + 1
+    assert res.unreachable == set(range(n))
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -248,8 +243,9 @@ def test_retry_pass_parks_through_its_coin_runs(t, seed, offset):
     offset %= t + 1
     c = t + 1
     sc = line_scenario(1, t=t, seed=seed, offsets=[offset])
-    node = TopoNode(0, offset, sc.spec, sc, Countdown())
+    node = TopoNode(0, offset, sc.spec, sc.seed, Countdown())
     node.hop, node.next_hop, node._anchor = 1, SINK, offset
+    node._set_done(False)
     ref = derive_rng_stream(seed, 0, "topo")
     slot = offset + c + 1 + ref.randrange(c)
     working = []  # (slot, transmits) for every working slot of the pass
