@@ -5,6 +5,10 @@ slots and then works for exactly one slot, so its cycle length is
 `charge_slots + 1`.  The slot index within a cycle at which a node works
 is its working offset.  Offsets live on the global grid: a node with
 offset o is awake in every slot s with s % cycle == o.
+
+The wire records (`HopFrame`, `DataFrame`, `AckFrame`, `Message`) are
+slotted and built positionally on the per-slot path, because forwarding
+builds one per scan attempt and most of its time goes there.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ def delay_offset(offset: int, spec: ChargingSpec, slots: int = 1) -> int:
     return (offset + slots) % spec.cycle
 
 
-@dataclass
+@dataclass(slots=True)
 class HopFrame:
     """Topology broadcast: hop count plus progress round of the sender."""
 
@@ -63,7 +67,7 @@ class HopFrame:
     round_no: int
 
 
-@dataclass
+@dataclass(slots=True)
 class DataFrame:
     """One queued message on the air.
 
@@ -84,7 +88,7 @@ class DataFrame:
     path: tuple = ()
 
 
-@dataclass
+@dataclass(slots=True)
 class AckFrame:
     """Same-slot acknowledgment; `ack_dst` names the node being acked."""
 
@@ -95,7 +99,7 @@ class AckFrame:
 Frame = HopFrame | DataFrame | AckFrame
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     """A queued unit of sensed data, keyed end to end by (origin, seq)."""
 

@@ -129,10 +129,10 @@ class ForwardSink:
                 created_at=frame.created_at,
                 delivered_at=slot,
                 hops=len(frame.path),
-                path=tuple(frame.path),
+                path=frame.path,
             ))
             self.pending.value -= 1
-        return AckFrame(src=SINK, ack_dst=frame.src)
+        return AckFrame(SINK, frame.src)
 
     def on_ack(self, slot, frame):
         return None
@@ -202,16 +202,9 @@ class ForwardNode:
         self._got_ack = False
         self._flew_end = not self.queue
         return DataFrame(
-            src=self.id,
-            dst=self.next_hop if state == "send" else self.scan_target,
-            src_hop=self.hop,
-            origin=msg.origin,
-            seq=msg.seq,
-            created_at=msg.created_at,
-            is_start=not self._batch_acked,
-            is_end=self._flew_end,
-            path=msg.path,
-        )
+            self.id, self.next_hop if state == "send" else self.scan_target,
+            self.hop, msg.origin, msg.seq, msg.created_at,
+            not self._batch_acked, self._flew_end, msg.path)
 
     def on_ack(self, slot, frame):
         if not isinstance(frame, AckFrame) or frame.ack_dst != self.id:
@@ -241,7 +234,7 @@ class ForwardNode:
             # retransmit after a lost ack: ack again, queue nothing
             if frame.src == self.id_match:
                 self.time_wait = 0
-            return AckFrame(src=self.id, ack_dst=frame.src)
+            return AckFrame(self.id, frame.src)
         legit = frame.dst == self.id or (frame.dst is None and self.id_match is None)
         if not legit:
             if frame.src == self.id_match and frame.dst != self.id:
@@ -253,12 +246,8 @@ class ForwardNode:
         if len(self.queue) >= QUEUE_CAP:
             self.dropped_full += 1
             return None  # no ack: the sender must retry later
-        self.queue.append(Message(
-            origin=frame.origin,
-            seq=frame.seq,
-            created_at=frame.created_at,
-            path=tuple(frame.path) + (self.id,),
-        ))
+        self.queue.append(Message(frame.origin, frame.seq, frame.created_at,
+                                  frame.path + (self.id,)))
         self.seen.add(key)
         if frame.is_start:
             self.id_match = frame.src
@@ -268,7 +257,7 @@ class ForwardNode:
         if frame.is_end and frame.src == self.id_match:
             self.id_match = None
             self._go_sender = True
-        return AckFrame(src=self.id, ack_dst=frame.src)
+        return AckFrame(self.id, frame.src)
 
     def _break_stale_lock(self):
         self.stale_breaks += 1
@@ -284,12 +273,7 @@ class ForwardNode:
             due = message_slot(self.base, self.generated, self.spec)
             if due > slot or len(self.queue) >= QUEUE_CAP:
                 break
-            self.queue.append(Message(
-                origin=self.id,
-                seq=self.generated,
-                created_at=due,
-                path=(self.id,),
-            ))
+            self.queue.append(Message(self.id, self.generated, due, (self.id,)))
             self.generated += 1
 
     # -- per-slot wrap-up ----------------------------------------------
@@ -474,8 +458,8 @@ def run_forwarding(scenario: Scenario, hops: dict, rounds: int = 1,
         failures=sum(n.failures for n in nodes.values()),
         stale_breaks=sum(n.stale_breaks for n in nodes.values()),
         forced_exits=sum(n.forced_exits for n in nodes.values()),
-        scan_attempts={nid: list(n.scan_attempt_slots) for nid, n in nodes.items()},
-        match_slots={nid: list(n.match_slots) for nid, n in nodes.items()},
+        scan_attempts={nid: n.scan_attempt_slots for nid, n in nodes.items()},
+        match_slots={nid: n.match_slots for nid, n in nodes.items()},
         generated_per_node={nid: n.generated for nid, n in nodes.items()},
         run=run,
     )

@@ -139,7 +139,7 @@ class TopoSink:
 
     def poll(self, slot):
         if self.t <= slot <= 2 * self.t:
-            return HopFrame(src=SINK, hop=0, round_no=slot - self.t)
+            return HopFrame(SINK, 0, slot - self.t)
         return None
 
     def on_data(self, slot, frame):
@@ -222,21 +222,21 @@ class TopoNode:
             self.last_update = slot
             self._update_round = frame.round_no
             self._set_done(False)
-            return AckFrame(src=self.id, ack_dst=frame.src)
+            return AckFrame(self.id, frame.src)
         if frame.hop > self.hop + 1:
             # struggler: answer with our own state
-            return HopFrame(src=self.id, hop=self.hop, round_no=self._stamp(slot))
+            return HopFrame(self.id, self.hop, self._stamp(slot))
         return None
 
     # -- engine hooks --------------------------------------------------
 
     def poll(self, slot):
         if self.state == "lead":
-            return HopFrame(src=self.id, hop=self.hop, round_no=self._vround)
+            return HopFrame(self.id, self.hop, self._vround)
         if self.state == "lead_wait" and self._calls and self._calls[0] == (slot, True):
-            return HopFrame(src=self.id, hop=self.hop, round_no=self._stamp(slot))
+            return HopFrame(self.id, self.hop, self._stamp(slot))
         if self.state == "bcast" and slot == self._until:
-            return HopFrame(src=self.id, hop=self.hop, round_no=self._stamp(slot))
+            return HopFrame(self.id, self.hop, self._stamp(slot))
         return None
 
     def on_data(self, slot, frame):

@@ -2,7 +2,10 @@ import pytest
 
 from icroute.core import (
     SINK,
+    AckFrame,
     ChargingSpec,
+    DataFrame,
+    HopFrame,
     Message,
     NodePlacement,
     Scenario,
@@ -72,6 +75,15 @@ def test_message_fields_and_path():
     assert (m.origin, m.seq, m.created_at, m.path) == (7, 3, 100, ())
     m2 = Message(origin=7, seq=3, created_at=100, path=(7, 4))
     assert m2.path == (7, 4)
+
+
+def test_wire_records_are_slotted():
+    # one is built per scan attempt; a record with a __dict__ costs
+    # forwarding time on every one of them
+    records = [HopFrame(1, 2, 3), DataFrame(1, None, 2, 1, 0, 0),
+               AckFrame(1, 2), Message(1, 0, 0)]
+    for record in records:
+        assert not hasattr(record, "__dict__"), type(record).__name__
 
 
 def test_scenario_positions_include_sink():

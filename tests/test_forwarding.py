@@ -2,12 +2,15 @@
 driven slot by slot against hand-computed traces, receiver locking, and
 end-to-end runs on small lines."""
 
+from dataclasses import asdict
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from icroute import forwarding
 from icroute.baselines import FixedHopPolicy
 from icroute.core import (
+    SINK,
     AckFrame,
     ChargingSpec,
     DataFrame,
@@ -16,9 +19,11 @@ from icroute.core import (
     Scenario,
     delay_offset,
 )
+from icroute.engine import Countdown
 from icroute.forwarding import (
     CachedPolicy,
     ForwardNode,
+    ForwardSink,
     failure_recovery_wait,
     run_forwarding,
     swing_back,
@@ -257,6 +262,60 @@ def test_sender_wakes_follow_the_pendulum(t, base, rounds, fixed, acks):
         last = {node.state: slot} if node.state == state else {}
         if state in ("scan", "send") and node.state == "recv":
             assert node.next_wake % cycle == base
+
+
+# -- records built on the hot path, field by field --------------------------
+# Each record is built positionally, and the fields below hold differing
+# values, so a swapped argument fails here, named by field.
+
+
+def test_scan_attempt_and_matched_send_frames_field_by_field():
+    node = make_node(t=5, offset=2, hop=2)
+    node.queue.extend([Message(origin=7, seq=3, created_at=40, path=(7, 5)),
+                       Message(origin=8, seq=4, created_at=41, path=(8, 6))])
+    node.finish(2)
+    assert node.state == "scan"
+    frame = node.poll(node.next_wake)
+    assert asdict(frame) == {
+        "src": 1, "dst": None, "src_hop": 2, "origin": 7, "seq": 3,
+        "created_at": 40, "is_start": True, "is_end": False, "path": (7, 5),
+    }
+    node.on_ack(node.next_wake, AckFrame(src=55, ack_dst=1))
+    node.finish(node.next_wake)
+    # the ack matched 55: the batch's closing frame is addressed to it
+    assert node.state == "send"
+    frame = node.poll(node.next_wake)
+    assert asdict(frame) == {
+        "src": 1, "dst": 55, "src_hop": 2, "origin": 8, "seq": 4,
+        "created_at": 41, "is_start": False, "is_end": True, "path": (8, 6),
+    }
+
+
+def test_queued_messages_and_acks_field_by_field():
+    node = make_node(hop=2)
+    heard = data_frame(src=7, src_hop=3, dst=1, origin=8, seq=4,
+                       created_at=40, is_start=True, path=(8, 7))
+    assert asdict(node.on_data(50, heard)) == {"src": 1, "ack_dst": 7}
+    assert asdict(node.queue[-1]) == {
+        "origin": 8, "seq": 4, "created_at": 40, "path": (8, 7, 1)}
+    # readings: origin 1, seqs 0-2, due at base 2 plus one cycle per seq
+    reader = make_node(t=5, offset=2, rounds=3)
+    reader._generate(14)
+    assert [asdict(m) for m in reader.queue] == [
+        {"origin": 1, "seq": seq, "created_at": 2 + 6 * seq, "path": (1,)}
+        for seq in range(3)]
+
+
+def test_sink_delivery_and_ack_field_by_field():
+    pending = Countdown(1)
+    sink = ForwardSink(pending)
+    heard = data_frame(src=7, src_hop=1, dst=SINK, origin=8, seq=4,
+                       created_at=40, is_end=True, path=(8, 7))
+    assert asdict(sink.on_data(50, heard)) == {"src": SINK, "ack_dst": 7}
+    assert asdict(sink.deliveries[0]) == {
+        "origin": 8, "seq": 4, "created_at": 40, "delivered_at": 50,
+        "hops": 2, "path": (8, 7)}
+    assert pending.value == 0
 
 
 # -- receiver rules --------------------------------------------------------

@@ -1,10 +1,11 @@
 import math
 import random
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from icroute.core import ChargingSpec, NO_HOP, NodePlacement, SINK, Scenario
+from icroute.core import ChargingSpec, HopFrame, NO_HOP, NodePlacement, SINK, Scenario
 from icroute.engine import Countdown
 from icroute.radio import COLLISION, EventTrace, derive_rng_stream
 from icroute.topology import (
@@ -278,3 +279,18 @@ def test_retry_pass_parks_through_its_coin_runs(t, seed, offset):
             assert node.listen_offset == slot % c
             assert node.next_wake == min(s for s in want if s > slot)
     assert sent == want and len(sent) == t + 1
+
+
+def test_hop_frames_and_acks_field_by_field():
+    # built positionally: a swapped argument fails here, named by field
+    sink = TopoSink(ChargingSpec(5), Countdown())
+    assert asdict(sink.poll(7)) == {"src": SINK, "hop": 0, "round_no": 2}
+    sc = line_scenario(1, t=5)
+    node = TopoNode(3, 0, sc.spec, sc.seed, Countdown())
+    ack = node.on_data(7, sink.poll(7))
+    assert asdict(ack) == {"src": 3, "ack_dst": SINK}
+    assert node.hop == 1
+    node.finish(7)  # anchors the lead pass that stamps our frames
+    # a struggler more than a hop behind draws our own state in reply
+    reply = node.on_data(20, HopFrame(src=8, hop=5, round_no=4))
+    assert asdict(reply) == {"src": 3, "hop": 1, "round_no": node._stamp(20)}
