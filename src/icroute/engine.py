@@ -23,9 +23,6 @@ Node behaviors are plain objects with:
     on_ack(slot, f)    -> None; what the node heard in the ack phase
     finish(slot)       -> None; end-of-slot transition, resets next_wake
                           and listen_offset
-    on_death(slot)     -> None; optional, called once, at the node's death
-                          slot, so a behavior that counts toward the run's
-                          countdown can leave it
 
 `on_data` and `on_ack` get what a listener heard in their phase: a
 decoded frame, or COLLISION for colliding energy it could not decode,
@@ -37,7 +34,15 @@ raises ValueError, and each death slot is filed in the wake heap (with
 an empty bucket if no node wakes there).  When a slot pops, every node
 whose death slot is at or before it is dropped before anything else
 runs: it loses its schedule and its place in the calendar, so it is
-never polled, finished or listed again, and its `on_death` fires.
+never polled, finished or listed again.
+
+A run is over when no behavior has a `next_wake`: every node is dead
+or parked without a deadline, and the sink only listens.  Nothing can
+then be sent again, since a node transmits only in a slot it woke in
+and a parked node is only ever finished in a slot where someone else
+sent.  The run converges at the last slot in which a node ran.  A
+caller's `Countdown` can end it earlier, at the slot where it reaches
+zero; a wake still scheduled past `max_slots` is a horizon hit.
 
 Every finished node is filed again: its `next_wake`, which `finish`
 must move past the slot or clear, gets the node's id appended to that
@@ -92,7 +97,7 @@ def park_deadline(slot, until, cycle):
 
 
 class Countdown:
-    """Shared counter behaviors use to signal run-level quiescence."""
+    """Shared counter a caller's behaviors count down to end a run early."""
 
     def __init__(self, value: int = 0):
         self.value = value
@@ -120,6 +125,7 @@ class Engine:
         self._calendar = [set() for _ in range(self._cycle)]  # offset -> ids
         self._heap = []  # each distinct slot that has a bucket, once
         self._buckets = {}  # slot -> ids filed for it, in filing order
+        self._ran = 0  # the last slot in which a node ran
         self._file(self._all, -1)
         # (death slot, id), latest first: the next death is the last entry
         self._deaths = sorted(((d, n) for n, d in scenario.deaths.items()),
@@ -140,8 +146,8 @@ class Engine:
 
     def run(self, max_slots: int,
             pending: Countdown | None = None) -> RunResult:
-        """Advance until `pending` counts down to zero or `max_slots` is
-        exceeded.
+        """Advance until no node is scheduled to wake, `pending` counts
+        down to zero, or `max_slots` is exceeded.
 
         A run that does not quiesce ends at `max_slots`: the sink listened
         through the horizon, whether or not a node woke in its last slots.
@@ -157,18 +163,24 @@ class Engine:
         while heap and heap[0] <= max_slots:
             slot = heapq.heappop(heap)
             while deaths and deaths[-1][0] <= slot:
-                self._drop(deaths.pop()[1], slot)
+                self._drop(deaths.pop()[1])
             ids = buckets.pop(slot)
             if len(ids) > 1:
                 ids = sorted(set(ids))
             awake = [nid for nid in ids if behaviors[nid].next_wake == slot]
             if awake:
                 self._file(self._step(slot, awake, behaviors, res), slot)
+                self._ran = slot
             if pending is not None and pending.value == 0:
                 res.last_slot = slot
                 res.converged = True
                 return res
-        res.last_slot = max_slots
+        # every wake at or before the horizon has run: any left lies past it
+        if any(beh.next_wake is not None for beh in behaviors.values()):
+            res.last_slot = max_slots
+        else:
+            res.last_slot = self._ran
+            res.converged = True
         return res
 
     def _file(self, ids, slot):
@@ -200,16 +212,13 @@ class Engine:
                 else:
                     bucket.append(nid)
 
-    def _drop(self, nid, slot):
+    def _drop(self, nid):
         """A dead node loses its schedule and its place in the calendar; an
         id it leaves in a wake bucket is no longer live."""
         beh = self._all[nid]
         if beh.listen_offset is not None:
             self._calendar[beh.listen_offset].discard(nid)
         beh.next_wake = beh.listen_offset = None
-        on_death = getattr(beh, "on_death", None)
-        if on_death is not None:
-            on_death(slot)
 
     def _pool(self, slot, awake):
         """The listeners of `slot`: the sink, then the scheduled nodes and

@@ -237,7 +237,7 @@ class ForwardNode:
             return AckFrame(self.id, frame.src)
         legit = frame.dst == self.id or (frame.dst is None and self.id_match is None)
         if not legit:
-            if frame.src == self.id_match and frame.dst != self.id:
+            if frame.src == self.id_match:
                 # our sender switched targets or lost its match: the lock
                 # is stale, but every copy it already acked into our queue
                 # is ours to carry onward

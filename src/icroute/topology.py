@@ -75,13 +75,13 @@ A listener that decodes a frame claiming a hop at least two above its
 own answers in the ack phase with its own hop frame, which the
 (half-duplex, but ack-phase listening) broadcaster applies at once.
 
-The run is over when nothing is left to send (Dijkstra & Scholten,
-*Termination detection for diffusing computations*, 1980): the sink
-holds the run's countdown through its pass, and a node holds it from
-the hop it learns until it retires, so a node that never hears a hop
-never holds it.  Only these senders start a frame, and a struggler
-reply only answers one, so at a count of zero no frame will ever be
-sent again, and a node still without a hop is unreachable in fact.
+The run is over when no node is scheduled to wake (see `engine`).  A
+node that retires, or never learns a hop, listens parked without a
+deadline; every other state has a wake, and so does the sink until
+its last frame.  Only a node with a wake starts a frame, and a
+struggler reply only answers one, so once no node has a wake no frame
+will ever be sent again, and a node still without a hop is unreachable
+in fact.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ import math
 from dataclasses import dataclass
 
 from .core import NO_HOP, SINK, AckFrame, ChargingSpec, HopFrame, Scenario
-from .engine import Countdown, Engine, RunResult, park_deadline
+from .engine import Engine, RunResult, park_deadline
 from .radio import derive_rng_stream
 
 
@@ -125,17 +125,12 @@ class TopoResult:
 
 
 class TopoSink:
-    """Transmits hop 0 once per slot for one full cycle, then just listens.
+    """Transmits hop 0 once per slot for one full cycle, then just listens."""
 
-    It holds one count of the run's countdown until its last frame.
-    """
-
-    def __init__(self, spec: ChargingSpec, pending: Countdown):
+    def __init__(self, spec: ChargingSpec):
         self.t = spec.charge_slots
         self.next_wake = self.t
         self.listen_offset = None
-        self.pending = pending
-        pending.value += 1
 
     def poll(self, slot):
         if self.t <= slot <= 2 * self.t:
@@ -149,21 +144,17 @@ class TopoSink:
         return None
 
     def finish(self, slot):
-        if slot < 2 * self.t:
-            self.next_wake = slot + 1
-        else:
-            self.next_wake = None
-            self.pending.value -= 1
+        self.next_wake = slot + 1 if slot < 2 * self.t else None
 
 
 class TopoNode:
     """Per-node state machine: listen, wait for the relay point, broadcast.
 
-    A node starts done, parked at its offset: it holds the run's countdown
-    only from the hop it learns until it retires.
+    A node starts in `listen`, parked at its offset without a deadline:
+    it has a wake only from the hop it learns until it retires.
     """
 
-    def __init__(self, node_id, offset, spec, seed, pending: Countdown):
+    def __init__(self, node_id, offset, spec, seed):
         self.id = node_id
         self.t = spec.charge_slots
         self.cycle = spec.cycle
@@ -180,12 +171,10 @@ class TopoNode:
         self.last_update = -1
         # end of the current listen: the far wait in `lead_wait`, the next
         # transmit slot of a pass in `bcast`, and the end of `lead_hold`,
-        # `cooldown` and `verify`; `finish` parks any node that is not
-        # done before it
+        # `cooldown` and `verify`; `finish` parks any node that is not in
+        # `listen` before it
         self._until = 0
         self.rng = derive_rng_stream(seed, node_id, "topo")
-        self.pending = pending
-        self.done = True
         # lead pass bookkeeping
         self._anchor = None  # slot of locked round 0
         self._vround = 0  # locked round of the next transmission
@@ -203,13 +192,6 @@ class TopoNode:
 
     # -- helpers -------------------------------------------------------
 
-    def _set_done(self, flag):
-        if flag and not self.done:
-            self.pending.value -= 1
-        elif not flag and self.done:
-            self.pending.value += 1
-        self.done = flag
-
     def _consider(self, slot, frame):
         """Apply a decoded hop frame; return an ack-phase response or None.
 
@@ -221,7 +203,6 @@ class TopoNode:
             self.next_hop = frame.src
             self.last_update = slot
             self._update_round = frame.round_no
-            self._set_done(False)
             return AckFrame(self.id, frame.src)
         if frame.hop > self.hop + 1:
             # struggler: answer with our own state
@@ -231,11 +212,13 @@ class TopoNode:
     # -- engine hooks --------------------------------------------------
 
     def poll(self, slot):
-        if self.state == "lead":
-            return HopFrame(self.id, self.hop, self._vround)
-        if self.state == "lead_wait" and self._calls and self._calls[0] == (slot, True):
-            return HopFrame(self.id, self.hop, self._stamp(slot))
-        if self.state == "bcast" and slot == self._until:
+        # a lead pass is polled only at anchor + _vround rounds, where
+        # the stamp is _vround
+        state = self.state
+        if (state == "lead"
+                or state == "bcast" and slot == self._until
+                or state == "lead_wait" and self._calls
+                and self._calls[0] == (slot, True)):
             return HopFrame(self.id, self.hop, self._stamp(slot))
         return None
 
@@ -265,17 +248,13 @@ class TopoNode:
             # nothing; try again once the channel drains
             self._enter_cooldown(slot)
 
-    def on_death(self, slot):
-        # a dead node never retires, so it stops holding up quiescence
-        self._set_done(True)
-
     def finish(self, slot):
         self.listen_offset = None
         if self._update_round is not None:
             self._enter_lead(slot, self._update_round)
             self._update_round = None
-        elif self.done:
-            # a done node listens for good
+        elif self.state == "listen":
+            # a retired node, or one without a hop, listens for good
             self._listen(slot, None)
         elif slot < self._until:
             # any other listen runs to `_until`; past it, each state moves
@@ -297,7 +276,6 @@ class TopoNode:
             self._farewells += 1
             if self._farewells >= FAREWELL_PASSES:
                 self.state = "listen"
-                self._set_done(True)
                 self._listen(slot, None)
             else:
                 self._enter_cooldown(slot)
@@ -521,13 +499,11 @@ class TopoNode:
 
 
 def build_topology(scenario: Scenario, trace=None) -> TopoResult:
-    pending = Countdown()
     nodes = {
-        p.node_id: TopoNode(p.node_id, p.offset, scenario.spec, scenario.seed,
-                            pending)
+        p.node_id: TopoNode(p.node_id, p.offset, scenario.spec, scenario.seed)
         for p in scenario.nodes
     }
-    sink = TopoSink(scenario.spec, pending)
+    sink = TopoSink(scenario.spec)
     t = scenario.spec.charge_slots
     # in passes of (t+1)(t+2) slots: the sink's, then every node's own
     # run, as if each waited for the last: its relay wait, lead pass and
@@ -537,7 +513,7 @@ def build_topology(scenario: Scenario, trace=None) -> TopoResult:
     node_passes = 3 + 2 * QUIET_PASSES + 6 * FAREWELL_PASSES
     max_slots = (1 + len(scenario.nodes) * node_passes) * (t + 1) * (t + 2)
     engine = Engine(scenario, nodes, sink, trace=trace)
-    run = engine.run(max_slots, pending)
+    run = engine.run(max_slots)
     topo_time = max((n.last_update for n in nodes.values()), default=-1)
     return TopoResult(
         hops={nid: n.hop for nid, n in nodes.items()},

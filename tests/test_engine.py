@@ -1,5 +1,6 @@
-"""Engine contract: the horizon, quiescence before the first slot, deaths
-as timed drops with their `on_death` hook, reschedules into the past,
+"""Engine contract: the horizon, quiescence before the first slot, the
+end of a run when no node is scheduled, deaths as timed drops,
+reschedules into the past,
 the unscheduled listening sink, the jitter draw, half duplex per phase,
 collisions reaching `on_data` and `on_ack`, one wake bucket per slot,
 and nodes parked at their offset, forwarding receivers among them."""
@@ -77,31 +78,16 @@ def test_dead_node_is_never_polled_again():
     assert not res.converged and res.last_slot == 30
 
 
-class Mortal(Beacon):
-    """Holds one unit of `pending` until the engine reports its death."""
-
-    def __init__(self, first, period, pending):
-        super().__init__(first, period)
-        self.pending = pending
-        pending.value += 1
-        self.deaths = []
-
-    def on_death(self, slot):
-        self.deaths.append(slot)
-        self.pending.value -= 1
-
-
-def test_dead_node_leaves_the_countdown_once():
-    # the drop at the death slot, 10, is the run's last event: no node
-    # wakes there, yet the run converges in that slot
-    pending = Countdown()
-    doomed = Mortal(0, 3, pending)
+def test_run_whose_last_waker_dies_converges_at_its_last_slot():
+    # the drop at the death slot, 10, leaves no node scheduled: the run
+    # converges at slot 9, the last slot in which a node ran
+    doomed = Beacon(0, 3)
     engine = Engine(line_field((1, 5.0), deaths={1: 10}), {1: doomed},
                     ForwardSink(Countdown()))
-    res = engine.run(100, pending)
+    res = engine.run(100)
     assert doomed.polled == [0, 3, 6, 9]
-    assert doomed.deaths == [10]
-    assert res.converged and res.last_slot == 10
+    assert doomed.next_wake is None
+    assert res.converged and res.last_slot == 9
 
 
 @pytest.mark.parametrize("deaths", [{3: 10}, {SINK: 10}],
@@ -232,10 +218,6 @@ class Parked(Beacon):
         self.plan = list(plan)
         self.next_wake = self.plan.pop(0) if self.plan else None
         self.finished = []
-        self.deaths = []
-
-    def on_death(self, slot):
-        self.deaths.append(slot)
 
     def finish(self, slot):
         self.finished.append(slot)
@@ -408,12 +390,40 @@ def test_parked_and_scheduled_listeners_hear_in_node_id_order():
 
 def test_dead_parked_node_never_listens_again():
     listener = Parked(offset=3)
-    engine, _ = park_run(listener, deaths={2: 12})
+    engine, res = park_run(listener, deaths={2: 12})
     assert listener.heard == [(9, HOP)]
     assert listener.finished == [9]
-    assert listener.deaths == [12]  # dropped at its death slot
     assert listener.listen_offset is None and listener.next_wake is None
     assert all(2 not in ids for ids in engine._calendar)
+    # dropped at its death slot, so the sender's last frame at 21, which
+    # the parked node would have heard, ends the run
+    assert res.converged and res.last_slot == 21
+
+
+def test_run_converges_when_no_node_is_scheduled():
+    # node 1 sends at 9, 15 and 21 and then has no wake; node 2 stays
+    # parked without a deadline, and node 3's death at 30 comes after
+    # both: the run converges at 21, its last slot run, without a
+    # countdown
+    sc = line_field((1, 5.0), (2, 8.0), (3, 9.0), deaths={3: 30})
+    listener = Parked(offset=3)
+    engine = Engine(sc, {1: Burst([9, 15, 21]), 2: listener,
+                         3: Parked(offset=4)}, ForwardSink(Countdown()))
+    res = engine.run(100)
+    assert res.converged and res.last_slot == 21
+    assert listener.finished == [9, 15, 21]
+    assert not engine._heap
+
+
+def test_wake_past_the_horizon_is_a_horizon_hit():
+    # the run's only wake after slot 9 is at 41, past the horizon of 40
+    engine = Engine(line_field((1, 5.0)), {1: Burst([9, 41])},
+                    ForwardSink(Countdown()))
+    res = engine.run(40)
+    assert not res.converged and res.last_slot == 40
+    # the next call runs it, and the run is then over
+    res = engine.run(100)
+    assert res.converged and res.last_slot == 41
 
 
 # -- idle forwarding receivers park at base --------------------------------

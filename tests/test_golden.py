@@ -18,16 +18,21 @@ node out of everyone's range never learns a hop, so it never transmits
 or holds up the run, and ends unreachable; and a relay dies in its echo,
 while it is parked, so the engine drops it from the calendar
 mid-mapping and the run still converges once the live nodes retire.
+The same field with a death during 40 rounds of forwarding pins where
+that run ends: when no node is scheduled to wake, or at the horizon
+while a node still scans toward its dead next hop.
 """
 
+import dataclasses
 import hashlib
 import os
 
 import pytest
 
-from icroute.baselines import STRATEGIES
+from icroute.baselines import STRATEGIES, build_policies
 from icroute.core import ChargingSpec, NodePlacement, Scenario
 from icroute.experiments import ExperimentConfig, generate_scenario, run_experiment
+from icroute.forwarding import run_forwarding
 from icroute.radio import EventTrace
 from icroute.topology import build_topology
 
@@ -260,8 +265,32 @@ def test_hand_built_mapping_matches_golden_digests(tmp_path, name):
 
 
 def test_dying_relay_mapping_converges():
-    # the dead relay leaves the run's countdown when the engine drops it,
-    # so mapping quiesces well inside its horizon
+    # the engine drops the dead relay with its schedule, so mapping
+    # quiesces well inside its horizon once the live nodes retire
     topo = build_topology(_dying_relay_field())
     assert topo.converged_at is not None
     assert topo.run.last_slot < 3234  # the field's `max_slots`
+
+
+@pytest.mark.parametrize("deaths,delivered,last_slot", [
+    # node 3, the chain's leaf, dies holding readings it never sends: the
+    # delivery countdown never reaches zero, but the survivors park with
+    # nothing left to send, and the run ends there
+    pytest.param({3: 150}, (137, 120), {"rics": 866, "otps": 688},
+                 id="leaf-dies"),
+    # node 2, node 3's only next hop, dies: node 3 keeps scanning toward
+    # it with readings queued, so the run still reaches the horizon
+    pytest.param({2: 150}, (114, 80), {"rics": 3096, "otps": 3096},
+                 id="relay-dies"),
+])
+def test_forwarding_with_a_death_ends_when_no_node_is_scheduled(
+        deaths, delivered, last_slot):
+    scenario = dataclasses.replace(_dying_relay_field(), deaths=deaths)
+    topo = build_topology(scenario)
+    horizon = 3096  # `run_forwarding`'s default for this field at 40 rounds
+    for strategy in ("rics", "otps"):
+        res = run_forwarding(scenario, topo.hops, rounds=40,
+                             policies=build_policies(strategy, scenario, topo))
+        assert (res.created, res.delivered) == delivered, strategy
+        assert res.run.last_slot == last_slot[strategy], strategy
+        assert res.run.converged == (last_slot[strategy] < horizon), strategy

@@ -1,12 +1,12 @@
 import math
 import random
 from dataclasses import asdict
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from icroute.core import ChargingSpec, HopFrame, NO_HOP, NodePlacement, SINK, Scenario
-from icroute.engine import Countdown
 from icroute.radio import COLLISION, EventTrace, derive_rng_stream
 from icroute.topology import (
     TopoNode,
@@ -93,25 +93,24 @@ def test_bfs_unreachable_is_no_hop():
 
 
 def test_sink_transmits_one_round_per_slot():
-    pending = Countdown()
-    sink = TopoSink(ChargingSpec(5), pending)
+    sink = TopoSink(ChargingSpec(5))
     assert sink.next_wake == 5
     frames = {s: sink.poll(s) for s in range(5, 11)}
     assert [frames[s].round_no for s in range(5, 11)] == [0, 1, 2, 3, 4, 5]
     assert all(f.hop == 0 and f.src == SINK for f in frames.values())
     assert sink.poll(4) is None and sink.poll(11) is None
-    # the sink holds one count through its pass and releases it after its
+    # the sink wakes in every slot of its pass and has no wake after its
     # last frame, at slot 2t
     for slot in range(5, 10):
         sink.finish(slot)
-        assert pending.value == 1 and sink.next_wake == slot + 1
+        assert sink.next_wake == slot + 1 and sink.listen_offset is None
     sink.finish(10)
-    assert pending.value == 0 and sink.next_wake is None
+    assert sink.next_wake is None and sink.listen_offset is None
 
 
 def _bare_node(t=5):
     sc = line_scenario(1, t=t)
-    return TopoNode(0, 0, sc.spec, sc.seed, Countdown())
+    return TopoNode(0, 0, sc.spec, sc.seed)
 
 
 def test_relay_anchor_is_a_round_past_half_a_pass():
@@ -192,6 +191,48 @@ def test_random_scenarios_converge_least_hop():
         assert res.converged_at is not None
 
 
+# integer coordinates put many pairs exactly on the 10 m boundary; the
+# sink sits in a corner, so deep, branching and cut-off fields all occur
+coords = st.integers(0, 18).map(float)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(points=st.lists(st.tuples(coords, coords), min_size=1, max_size=15),
+       t=st.integers(1, 6), seed=st.integers(0, 2**31 - 1), data=st.data())
+def test_only_a_listening_node_is_without_a_wake(points, t, seed, data):
+    # the engine ends a run when no node is scheduled to wake, so mapping
+    # relies on this: after every finish, a node in `listen` (retired, or
+    # without a hop) has no wake and every other node has one
+    n = len(points)
+    offsets = data.draw(st.lists(st.integers(0, t), min_size=n, max_size=n))
+    deaths = data.draw(st.dictionaries(
+        st.integers(0, n - 1), st.integers(0, 30 * (t + 1) * (t + 2)),
+        max_size=3))
+    nodes = [NodePlacement(i, x, y, off)
+             for i, ((x, y), off) in enumerate(zip(points, offsets))]
+    scenario = Scenario(ChargingSpec(t), nodes, sink_xy=(0.0, 0.0),
+                        range_m=10.0, width=18.0, height=18.0, seed=seed,
+                        deaths=deaths)
+    ran = []  # the slot of every finish, the sink's included
+    node_finish, sink_finish = TopoNode.finish, TopoSink.finish
+
+    def checked_finish(node, slot):
+        node_finish(node, slot)
+        ran.append(slot)
+        assert (node.next_wake is None) == (node.state == "listen"), (
+            node.id, slot, node.state)
+
+    def logged_sink_finish(sink, slot):
+        sink_finish(sink, slot)
+        ran.append(slot)
+
+    with mock.patch.object(TopoNode, "finish", checked_finish), \
+            mock.patch.object(TopoSink, "finish", logged_sink_finish):
+        res = build_topology(scenario)
+    assert res.converged_at is not None
+    assert res.converged_at == max(ran) >= 2 * t
+
+
 def test_verify_flags_wrong_hop_and_parent():
     sc = line_scenario(3, spacing=90, t=5)
     res = build_topology(sc)
@@ -204,8 +245,8 @@ def test_verify_flags_wrong_hop_and_parent():
 
 
 def test_isolated_node_transmits_nothing_and_ends_unreachable():
-    # node 1 never hears a hop, so it never holds the countdown: the run
-    # ends once node 0 retires, and node 1 sent nothing
+    # node 1 never hears a hop, so it never has a wake: the run ends once
+    # node 0 retires, and node 1 sent nothing
     spec = ChargingSpec(2)
     nodes = [NodePlacement(0, 8.0, 0.0, 1), NodePlacement(1, 60.0, 0.0, 2)]
     sc = Scenario(spec, nodes, sink_xy=(0.0, 0.0), range_m=10.0,
@@ -221,8 +262,8 @@ def test_isolated_node_transmits_nothing_and_ends_unreachable():
 @pytest.mark.parametrize("n", [4, 0], ids=["out-of-range", "nodeless"])
 def test_field_nobody_hears_converges_after_the_sinks_pass(n):
     # no node is in the sink's range, so nothing but its t+1 frames is
-    # ever sent and the run ends at slot 2t, when the sink releases its
-    # count; the nodes hear each other, but none of them has a hop
+    # ever sent and the run ends at slot 2t, the sink's last wake; the
+    # nodes hear each other, but none of them has a hop
     t = 3
     nodes = [NodePlacement(i, 200.0 + 90.0 * i, 0.0, i % (t + 1))
              for i in range(n)]
@@ -244,9 +285,8 @@ def test_retry_pass_parks_through_its_coin_runs(t, seed, offset):
     offset %= t + 1
     c = t + 1
     sc = line_scenario(1, t=t, seed=seed, offsets=[offset])
-    node = TopoNode(0, offset, sc.spec, sc.seed, Countdown())
+    node = TopoNode(0, offset, sc.spec, sc.seed)
     node.hop, node.next_hop, node._anchor = 1, SINK, offset
-    node._set_done(False)
     ref = derive_rng_stream(seed, 0, "topo")
     slot = offset + c + 1 + ref.randrange(c)
     working = []  # (slot, transmits) for every working slot of the pass
@@ -283,10 +323,10 @@ def test_retry_pass_parks_through_its_coin_runs(t, seed, offset):
 
 def test_hop_frames_and_acks_field_by_field():
     # built positionally: a swapped argument fails here, named by field
-    sink = TopoSink(ChargingSpec(5), Countdown())
+    sink = TopoSink(ChargingSpec(5))
     assert asdict(sink.poll(7)) == {"src": SINK, "hop": 0, "round_no": 2}
     sc = line_scenario(1, t=5)
-    node = TopoNode(3, 0, sc.spec, sc.seed, Countdown())
+    node = TopoNode(3, 0, sc.spec, sc.seed)
     ack = node.on_data(7, sink.poll(7))
     assert asdict(ack) == {"src": 3, "ack_dst": SINK}
     assert node.hop == 1
