@@ -1,4 +1,5 @@
-"""Slot-time arithmetic and wire frames shared by every protocol layer.
+"""Slot-time arithmetic, wire frames and the disk graph shared by every
+protocol layer.
 
 Time is a global integer slot counter.  A node charges for `charge_slots`
 slots and then works for exactly one slot, so its cycle length is
@@ -9,6 +10,10 @@ offset o is awake in every slot s with s % cycle == o.
 The wire records (`HopFrame`, `DataFrame`, `AckFrame`, `Message`) are
 slotted and built positionally on the per-slot path, because forwarding
 builds one per scan attempt and most of its time goes there.
+
+Who hears whom is a unit disk graph with one in-range test,
+`math.dist(a, b) <= range_m`, in `DiskGrid.near`; `Scenario.neighbors()`
+and the BFS oracle both find their pairs through a `DiskGrid`.
 """
 
 from __future__ import annotations
@@ -109,6 +114,62 @@ class Message:
     path: tuple = ()
 
 
+# A grid cell's side is a hair above the range, so that the rounding of
+# the cell arithmetic never puts two points in range more than one cell
+# apart.  That holds while every coordinate lies within about 2**31
+# cell sides of the origin.
+CELL_MARGIN = 1 + 2**-20
+_AROUND = tuple((dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1))
+
+
+class DiskGrid:
+    """Points bucketed in square cells a hair wider than `range_m`, so
+    every point within `range_m` of a spot lies in the 3x3 cells around
+    the spot's cell (Bentley, Stanat & Williams, IPL 1977).  `points`
+    are (id, (x, y)) pairs."""
+
+    __slots__ = ("range_m", "side", "cells")
+
+    def __init__(self, points, range_m: float):
+        if not range_m > 0:
+            raise ValueError("range_m must be positive")
+        self.range_m = range_m
+        self.side = range_m * CELL_MARGIN
+        self.cells = {}
+        for point in points:
+            self.add(point)
+
+    def add(self, point) -> None:
+        self.cells.setdefault(self.cell(point[1]), []).append(point)
+
+    def cell(self, xy) -> tuple[int, int]:
+        side = self.side
+        return math.floor(xy[0] / side), math.floor(xy[1] / side)
+
+    def near(self, xy, take: bool = False) -> list:
+        """The (id, (x, y)) points within `range_m` of `xy`, boundary
+        inclusive; with `take`, they also leave the grid."""
+        cx, cy = self.cell(xy)
+        cells, range_m = self.cells, self.range_m
+        found = []
+        for dx, dy in _AROUND:
+            key = (cx + dx, cy + dy)
+            members = cells.get(key)
+            if members is None:
+                continue
+            hits = [m for m in members if math.dist(xy, m[1]) <= range_m]
+            if hits:
+                found += hits
+                if take:
+                    # an emptied cell goes, so later lookups skip it
+                    rest = [m for m in members if m not in hits]
+                    if rest:
+                        cells[key] = rest
+                    else:
+                        del cells[key]
+        return found
+
+
 @dataclass
 class NodePlacement:
     node_id: int
@@ -138,17 +199,20 @@ class Scenario:
         return pos
 
     def neighbors(self) -> dict[int, frozenset]:
-        """The unit disk graph, the package's only in-range test: node id
-        (the sink under `SINK`) -> ids within `range_m`, boundary
-        inclusive, never the node itself.  Built per call, not cached."""
-        pos = list(self.positions().items())
-        near = {nid: set() for nid, _ in pos}
-        for i, (a, pa) in enumerate(pos):
-            for b, pb in pos[i + 1:]:
-                if math.dist(pa, pb) <= self.range_m:
-                    near[a].add(b)
-                    near[b].add(a)
-        return {nid: frozenset(ids) for nid, ids in near.items()}
+        """The unit disk graph: node id (the sink under `SINK`) -> ids
+        within `range_m`, boundary inclusive, never the node itself.
+        Found through a `DiskGrid`, whose in-range test is the package's
+        only one.  Built per call, not cached."""
+        grid = DiskGrid((), self.range_m)
+        near = {}
+        # each pair is tested once, when the later of its points arrives
+        for a, xy in self.positions().items():
+            mine = near[a] = set()
+            for b, _ in grid.near(xy):
+                mine.add(b)
+                near[b].add(a)
+            grid.add((a, xy))
+        return {a: frozenset(ids) for a, ids in near.items()}
 
     def offsets(self) -> dict[int, int]:
         return {p.node_id: p.offset for p in self.nodes}

@@ -77,29 +77,31 @@ class ExperimentConfig:
 def generate_scenario(config: ExperimentConfig) -> Scenario:
     """Drop nodes uniformly until the radio graph reaches everyone.
 
-    Deterministic per seed; gives up with a diagnostic after
+    Deterministic per seed: each try draws x, y and offset per node in
+    id order, as `uniform(0, width)`, `uniform(0, height)` and
+    `randint(0, t)` would, and `bfs_hops` checks it once.  A rejected
+    try costs its draws and the BFS of the sink's component; no
+    neighbor sets are built.  Gives up with a diagnostic after
     MAX_PLACEMENT_TRIES disconnected draws.
     """
     rng = derive_rng_stream(config.seed, SINK, "scenario")
+    # uniform(0, w) is 0 + w * random(), and randint(0, t) is
+    # randrange(t + 1): the same values, drawn for less
+    random, randrange = rng.random, rng.randrange
     width, height = config.dims
+    offsets = config.t + 1
     spec = ChargingSpec(charge_slots=config.t)
     scenario = None
     for _ in range(MAX_PLACEMENT_TRIES):
-        nodes = [
-            NodePlacement(
-                node_id=i,
-                x=rng.uniform(0.0, width),
-                y=rng.uniform(0.0, height),
-                offset=rng.randint(0, config.t),
-            )
-            for i in range(config.n_nodes)
-        ]
+        nodes = [NodePlacement(i, width * random(), height * random(),
+                               randrange(offsets))
+                 for i in range(config.n_nodes)]
         scenario = Scenario(
             spec=spec, nodes=nodes, sink_xy=config.sink_xy,
             range_m=config.range_m, width=width, height=height,
             seed=config.seed, shape=config.shape,
         )
-        if all(h != NO_HOP for h in bfs_hops(scenario).values()):
+        if NO_HOP not in bfs_hops(scenario).values():
             return scenario
     near = scenario.neighbors()
     degree = sum(map(len, near.values())) / len(near)

@@ -89,7 +89,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import NO_HOP, SINK, AckFrame, ChargingSpec, HopFrame, Scenario
+from .core import (NO_HOP, SINK, AckFrame, ChargingSpec, DiskGrid, HopFrame,
+                   Scenario)
 from .engine import Engine, RunResult, park_deadline
 from .radio import derive_rng_stream
 
@@ -527,19 +528,26 @@ def build_topology(scenario: Scenario, trace=None) -> TopoResult:
 
 
 def bfs_hops(scenario: Scenario) -> dict:
-    """Reference least-hop counts over the disk graph, sink at hop 0."""
-    near = scenario.neighbors()
+    """Reference least-hop counts over the disk graph, sink at hop 0;
+    `NO_HOP` for a node the sink cannot reach.
+
+    A level-by-level BFS over a `DiskGrid` of the nodes, which builds no
+    neighbor sets: a found node tests only the nodes still unfound in
+    the 3x3 cells around it, and leaves its cell when it is found.  A
+    field the sink does not reach costs only the sink's component.
+    """
+    grid = DiskGrid(((p.node_id, (p.x, p.y)) for p in scenario.nodes),
+                    scenario.range_m)
     hops = {p.node_id: NO_HOP for p in scenario.nodes}
-    frontier = [SINK]
+    frontier = [scenario.sink_xy]
     level = 0
     while frontier:
         level += 1
         nxt = []
-        for f in frontier:
-            for nid in near[f]:
-                if hops.get(nid) == NO_HOP:
-                    hops[nid] = level
-                    nxt.append(nid)
+        for xy in frontier:
+            for nid, found_xy in grid.near(xy, take=True):
+                hops[nid] = level
+                nxt.append(found_xy)
         frontier = nxt
     return hops
 

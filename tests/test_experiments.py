@@ -2,6 +2,7 @@
 
 import filecmp
 import json
+import math
 import os
 import tempfile
 
@@ -12,6 +13,7 @@ from icroute.baselines import STRATEGIES
 from icroute.core import NO_HOP, SINK, ChargingSpec, NodePlacement, Scenario
 from icroute.experiments import (
     CSV_HEADER,
+    MAX_PLACEMENT_TRIES,
     ExperimentConfig,
     SparseAreaError,
     compute_cdf,
@@ -19,7 +21,7 @@ from icroute.experiments import (
     quantile,
     run_experiment,
 )
-from icroute.radio import EventTrace
+from icroute.radio import EventTrace, derive_rng_stream
 from icroute.topology import bfs_hops, build_topology, verify_least_hop
 
 SMALL = ExperimentConfig(shape="square", n_nodes=50, t=5, rounds=1, seed=11)
@@ -58,13 +60,82 @@ def test_generation_is_deterministic_per_seed():
     assert c.nodes != a.nodes
 
 
+def reference_placement(config):
+    """The sampler as it was first written: a full Scenario per try, then
+    a BFS over the all-pairs `math.dist` disk graph.  Returns the
+    accepted nodes, or the SparseAreaError text."""
+    rng = derive_rng_stream(config.seed, SINK, "scenario")
+    width, height = config.dims
+    for _ in range(MAX_PLACEMENT_TRIES):
+        nodes = [NodePlacement(i, rng.uniform(0.0, width),
+                               rng.uniform(0.0, height), rng.randint(0, config.t))
+                 for i in range(config.n_nodes)]
+        pos = list(Scenario(ChargingSpec(config.t), nodes, config.sink_xy,
+                            config.range_m, width, height).positions().items())
+        near = {a: set() for a, _ in pos}
+        for i, (a, pa) in enumerate(pos):
+            for b, pb in pos[i + 1:]:
+                if math.dist(pa, pb) <= config.range_m:
+                    near[a].add(b)
+                    near[b].add(a)
+        found, frontier = {SINK}, [SINK]
+        while frontier:
+            nxt = []
+            for a in frontier:
+                for b in near[a] - found:
+                    found.add(b)
+                    nxt.append(b)
+            frontier = nxt
+        if len(found) == len(near):
+            return nodes
+    degree = sum(map(len, near.values())) / len(near)
+    return (f"area too sparse: no connected draw in {MAX_PLACEMENT_TRIES} tries "
+            f"(n={config.n_nodes}, range={config.range_m}m, "
+            f"area={width:g}x{height:g}m, mean degree={degree:.2f})")
+
+
+# n5 fields are often never connected in 1000 tries; range 7 m fields
+# are accepted after 100-800 tries, or never
+EQUIVALENCE = [
+    ExperimentConfig(shape=shape, n_nodes=n, t=t, seed=seed)
+    for shape in ("square", "rectangle") for n in (5, 50, 100)
+    for t in (5, 50) for seed in range(5)
+] + [
+    ExperimentConfig(shape=shape, n_nodes=n, t=5, seed=seed, range_m=7.0)
+    for shape, n, seeds in (("square", 50, range(4)),
+                            ("rectangle", 100, range(3)))
+    for seed in seeds
+]
+
+
+@pytest.mark.parametrize(
+    "config", EQUIVALENCE,
+    ids=lambda c: f"{c.shape}-n{c.n_nodes}-t{c.t}-s{c.seed}-{c.range_m:g}m")
+def test_generation_matches_the_all_pairs_reference(config):
+    try:
+        got = generate_scenario(config).nodes
+    except SparseAreaError as err:
+        got = str(err)
+    assert got == reference_placement(config)
+
+
 def test_hopeless_density_raises_with_diagnostics():
     lonely = ExperimentConfig(shape="square", n_nodes=2, t=5, seed=1,
                               range_m=1.0)
     with pytest.raises(SparseAreaError) as err:
         generate_scenario(lonely)
-    msg = str(err.value)
-    assert "n=2" in msg and "range=1.0m" in msg and "mean degree" in msg
+    assert str(err.value) == reference_placement(lonely) == (
+        "area too sparse: no connected draw in 1000 tries (n=2, range=1.0m, "
+        "area=45x45m, mean degree=0.00)")
+
+
+def test_sparse_area_error_reports_the_last_draws_mean_degree():
+    # square n5 seed 1 is never connected, but its last draw has edges
+    config = ExperimentConfig(shape="square", n_nodes=5, t=5, seed=1)
+    with pytest.raises(SparseAreaError) as err:
+        generate_scenario(config)
+    assert str(err.value) == reference_placement(config)
+    assert "mean degree=0.00" not in str(err.value)
 
 
 def test_workload_schedules_one_message_per_cycle():

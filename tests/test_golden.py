@@ -21,10 +21,16 @@ mid-mapping and the run still converges once the live nodes retire.
 The same field with a death during 40 rounds of forwarding pins where
 that run ends: when no node is scheduled to wake, or at the horizon
 while a node still scans toward its dead next hop.
+
+`PLACEMENTS` pins the generated fields themselves: every node's id,
+exact coordinates and offset for acceptance 1's 200 layouts and for the
+benchmark workloads' fields at seeds 0-3, drawn as
+`scripts/map_gates.py` draws them.
 """
 
 import dataclasses
 import hashlib
+import importlib.util
 import os
 
 import pytest
@@ -179,6 +185,36 @@ EXERCISED = {
         "fxcs": ("forced_exits",),
     },
 }
+
+
+# field set of `scripts/map_gates.py` -> sha256 of its placements
+PLACEMENTS = {
+    "acc1": "b0168b5bc5d9cd83176f39ba13b5781035e44890ef0313d57290f9035b653638",
+    "busy_relay:0-3": "fb53b6bf5cbc3eda552c1d8f6197277c32729ea2381dbfc42a5defd163b30717",
+    "map_sweep:0-3": "3f07453dcfffceb08c3d246e0e5a96e94701c6c94aa2554b70163dd303142dc2",
+}
+
+
+def _map_gates():
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "scripts", "map_gates.py")
+    spec = importlib.util.spec_from_file_location("map_gates", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("fieldset", sorted(PLACEMENTS))
+def test_generated_placements_match_golden_digests(fieldset):
+    digest = hashlib.sha256()
+    for shape, n, t, seed, _ in _map_gates().gate_fields(fieldset):
+        scenario = generate_scenario(ExperimentConfig(shape=shape, n_nodes=n,
+                                                      t=t, seed=seed))
+        digest.update(f"{shape}-n{n}-t{t}-s{seed}\n".encode())
+        for p in scenario.nodes:
+            digest.update(
+                f"{p.node_id} {p.x.hex()} {p.y.hex()} {p.offset}\n".encode())
+    assert digest.hexdigest() == PLACEMENTS[fieldset]
 
 
 def _sha256(path):

@@ -6,7 +6,8 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from icroute.core import ChargingSpec, HopFrame, NO_HOP, NodePlacement, SINK, Scenario
+from icroute.core import (ChargingSpec, DiskGrid, HopFrame, NO_HOP, NodePlacement,
+                          SINK, Scenario)
 from icroute.radio import COLLISION, EventTrace, derive_rng_stream
 from icroute.topology import (
     TopoNode,
@@ -70,18 +71,46 @@ def test_bfs_matches_relaxation_reference():
         assert bfs_hops(sc) == relaxed_hops(sc)
 
 
-# integer coordinates and ranges put many pairs exactly on the boundary
-coords = st.integers(0, 40).map(float)
+def all_pairs_neighbors(scenario):
+    pos = scenario.positions()
+    return {a: frozenset(b for b in pos if b != a
+                         and math.dist(pos[a], pos[b]) <= scenario.range_m)
+            for a in pos}
+
+
+@st.composite
+def grid_fields(draw):
+    """Fields that stress the cell grid: integer coordinates, negative
+    ones included, put many pairs exactly on the boundary for an integer
+    range; points on cell edges; partners exactly `range_m` away along
+    an axis; and a sink that may sit outside the nodes' area, in reach
+    of nobody."""
+    range_m = draw(st.integers(1, 30) | st.floats(1.0, 30.0))
+    side = DiskGrid((), range_m).side
+    coord = st.integers(-40, 40).map(float) | st.integers(-4, 4).map(
+        lambda k: k * side)
+    points = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=15))
+    axes = st.sampled_from(((1, 0), (-1, 0), (0, 1), (0, -1)))
+    partners = draw(st.lists(st.tuples(st.sampled_from(points), axes),
+                             max_size=4))
+    points += [(x + dx * range_m, y + dy * range_m)
+               for (x, y), (dx, dy) in partners]
+    sink = draw(st.tuples(coord, st.integers(-120, 120).map(float)))
+    nodes = [NodePlacement(i, x, y, 0) for i, (x, y) in enumerate(points)]
+    return Scenario(ChargingSpec(1), nodes, sink_xy=sink, range_m=range_m,
+                    width=80.0, height=80.0)
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
-@given(st.lists(st.tuples(coords, coords), min_size=1, max_size=15),
-       st.integers(1, 30).map(float) | st.floats(1.0, 30.0))
-def test_bfs_matches_relaxation_on_drawn_placements(points, range_m):
-    nodes = [NodePlacement(i, x, y, 0) for i, (x, y) in enumerate(points[1:])]
-    sc = Scenario(ChargingSpec(1), nodes, sink_xy=points[0], range_m=range_m,
-                  width=40.0, height=40.0)
+@given(grid_fields())
+def test_bfs_matches_relaxation_on_drawn_placements(sc):
     assert bfs_hops(sc) == relaxed_hops(sc)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(grid_fields())
+def test_grid_neighbors_match_all_pairs_on_drawn_placements(sc):
+    assert sc.neighbors() == all_pairs_neighbors(sc)
 
 
 def test_bfs_unreachable_is_no_hop():
