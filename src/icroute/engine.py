@@ -44,15 +44,18 @@ sent.  The run converges at the last slot in which a node ran.  A
 caller's `Countdown` can end it earlier, at the slot where it reaches
 zero; a wake still scheduled past `max_slots` is a horizon hit.
 
-Every finished node is filed again: its `next_wake`, which `finish`
-must move past the slot or clear, gets the node's id appended to that
-slot's wake bucket (slot -> ids), and the heap holds each slot that has
-a bucket once.  The engine pops a slot and takes its bucket whole; a
-bucket of more than one id is sorted and deduplicated, so the slot's
-nodes run in id order and once each.  That `next_wake` is the only
-record of a deadline: an id in a bucket is live only while its
-`next_wake` equals the bucket's slot, and a live node is polled and
-finished.
+A slot walks its nodes once to poll them and once to finish them:
+`_file` finishes each node and files it in the same loop, and it is
+also the code that files every node when the engine is built.  Filing
+appends the node's id to the wake bucket (slot -> ids) of its
+`next_wake`, which `finish` must move past the slot or clear, and the
+heap holds each slot that has a bucket once.  The engine pops a slot
+and takes its bucket whole.  That `next_wake` is the only record of a
+deadline: an id in a bucket is live only while its `next_wake` equals
+the bucket's slot, and a live node is polled and finished.  A one-id
+bucket, the common case, is run as it is if its id is live; a bucket
+of more than one id is sorted, deduplicated and filtered, so the
+slot's nodes run in id order and once each.
 
 A behavior that only listens parks instead of waking every cycle: it
 sets `listen_offset` to the offset of its working slots and `next_wake`
@@ -78,8 +81,8 @@ whether or not it scheduled the slot.  A sink that only listens sets
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from .core import SINK, Scenario
 from .radio import COLLISION, MICRO_SLOTS, derive_rng_stream, resolve_slot
@@ -126,7 +129,10 @@ class Engine:
         self._heap = []  # each distinct slot that has a bucket, once
         self._buckets = {}  # slot -> ids filed for it, in filing order
         self._ran = 0  # the last slot in which a node ran
-        self._file(self._all, -1)
+        # what `_file` reads, in one load per call
+        self._filing = (self._all, self._cycle, self._calendar, self._heap,
+                        self._buckets)
+        self._file(self._all, -1, finish=False)
         # (death slot, id), latest first: the next death is the last entry
         self._deaths = sorted(((d, n) for n, d in scenario.deaths.items()),
                               reverse=True)
@@ -135,7 +141,7 @@ class Engine:
                 raise ValueError(f"death of {nid}, which is not a node of this run")
             if died not in self._buckets:
                 self._buckets[died] = []
-                heapq.heappush(self._heap, died)
+                heappush(self._heap, died)
 
     def _draw_jitter(self, nid):
         bits = self._jitter[nid]
@@ -160,17 +166,23 @@ class Engine:
         buckets = self._buckets
         behaviors = self._all
         deaths = self._deaths
+        step = self._step
         while heap and heap[0] <= max_slots:
-            slot = heapq.heappop(heap)
+            slot = heappop(heap)
             while deaths and deaths[-1][0] <= slot:
                 self._drop(deaths.pop()[1])
-            ids = buckets.pop(slot)
-            if len(ids) > 1:
-                ids = sorted(set(ids))
-            awake = [nid for nid in ids if behaviors[nid].next_wake == slot]
-            if awake:
-                self._file(self._step(slot, awake, behaviors, res), slot)
-                self._ran = slot
+            awake = buckets.pop(slot)
+            if len(awake) == 1:
+                if behaviors[awake[0]].next_wake != slot:
+                    continue
+            else:
+                awake = [nid for nid in sorted(set(awake))
+                         if behaviors[nid].next_wake == slot]
+                if not awake:
+                    continue
+            # only a slot in which a node runs can move `pending`
+            step(slot, awake, behaviors, res)
+            self._ran = slot
             if pending is not None and pending.value == 0:
                 res.last_slot = slot
                 res.converged = True
@@ -183,18 +195,16 @@ class Engine:
             res.converged = True
         return res
 
-    def _file(self, ids, slot):
-        """Queue each node's `next_wake` after its `finish(slot)`, and move
-        it in the calendar from the offset of `slot` to its
-        `listen_offset`."""
-        behaviors = self._all
-        cycle = self._cycle
-        calendar = self._calendar
+    def _file(self, ids, slot, finish=True):
+        """Finish each node in `slot` (unless `finish` is false, as in the
+        initial filing), then queue its `next_wake` and move it in the
+        calendar from the offset of `slot` to its `listen_offset`."""
+        behaviors, cycle, calendar, heap, buckets = self._filing
         here = calendar[slot % cycle]
-        heap = self._heap
-        buckets = self._buckets
         for nid in ids:
             beh = behaviors[nid]
+            if finish:
+                beh.finish(slot)
             here.discard(nid)
             wake = beh.next_wake
             offset = beh.listen_offset
@@ -208,7 +218,7 @@ class Engine:
                 bucket = buckets.get(wake)
                 if bucket is None:
                     buckets[wake] = [nid]
-                    heapq.heappush(heap, wake)
+                    heappush(heap, wake)
                 else:
                     bucket.append(nid)
 
@@ -220,34 +230,29 @@ class Engine:
             self._calendar[beh.listen_offset].discard(nid)
         beh.next_wake = beh.listen_offset = None
 
-    def _pool(self, slot, awake):
-        """The listeners of `slot`: the sink, then the scheduled nodes and
-        the ones parked at its offset, in node-id order."""
-        parked = self._calendar[slot % self._cycle]
-        pool = sorted(parked.union(awake)) if parked else awake
-        return pool if pool[0] == SINK else [SINK, *pool]
-
     def _step(self, slot, awake, behaviors, res):
-        """Run one slot; returns every node it finished: the scheduled
-        ones, then the parked ones that heard something."""
+        """Run one slot, then finish and file (`_file`) the scheduled nodes
+        and, after them, the parked ones that heard something."""
         trace = self.trace
-        draw = self._draw_jitter
-
         tx_a = []
         for nid in awake:
             frame = behaviors[nid].poll(slot)
             if frame is not None:
-                tx_a.append((frame, draw(nid)))
+                tx_a.append((frame, self._draw_jitter(nid)))
                 if trace:
                     trace.add(slot, nid, "tx", frame=type(frame).__name__)
         if not tx_a:
             # nothing on the air: listening changes no state
-            for nid in awake:
-                behaviors[nid].finish(slot)
-            return awake
+            self._file(awake, slot)
+            return
         res.frames_sent += len(tx_a)
 
-        listeners = self._pool(slot, awake)
+        # the listeners: the sink, then the scheduled nodes and the ones
+        # parked at the slot's offset, in node-id order
+        parked = self._calendar[slot % self._cycle]
+        listeners = sorted(parked.union(awake)) if parked else awake
+        if listeners[0] != SINK:
+            listeners = [SINK, *listeners]
         decode_a = resolve_slot(tx_a, listeners, self.neighbors)
 
         # the decode dicts hold only listeners that heard something, in
@@ -262,7 +267,7 @@ class Engine:
                 trace.add(slot, nid, "rx", frame=type(got).__name__, src=got.src)
             resp = behaviors[nid].on_data(slot, got)
             if resp is not None:
-                tx_b.append((resp, draw(nid)))
+                tx_b.append((resp, self._draw_jitter(nid)))
                 if trace:
                     trace.add(slot, nid, "txr", frame=type(resp).__name__)
 
@@ -278,16 +283,11 @@ class Engine:
                     trace.add(slot, nid, "rxa", frame=type(got).__name__, src=got.src)
                 behaviors[nid].on_ack(slot, got)
 
-        for nid in awake:
-            behaviors[nid].finish(slot)
-        parked = self._calendar[slot % self._cycle]
-        if not parked:
-            return awake
-        # a parked listener that decoded a frame or heard a collision is
-        # finished in this slot too, in listener order (SINK is never
-        # parked, and the rest of the list is in id order)
-        heard = decode_a.keys() | decode_b.keys()
-        touched = sorted((heard & parked).difference(awake))
-        for nid in touched:
-            behaviors[nid].finish(slot)
-        return awake + touched
+        if parked:
+            # a parked listener that decoded a frame or heard a collision is
+            # finished in this slot too, in id order (SINK is never parked)
+            heard = decode_a.keys() | decode_b.keys()
+            touched = sorted((heard & parked).difference(awake))
+            if touched:
+                awake = awake + touched
+        self._file(awake, slot)

@@ -3,9 +3,12 @@ end of a run when no node is scheduled, deaths as timed drops,
 reschedules into the past,
 the unscheduled listening sink, the jitter draw, half duplex per phase,
 collisions reaching `on_data` and `on_ack`, one wake bucket per slot,
-and nodes parked at their offset, forwarding receivers among them."""
+nodes parked at their offset, forwarding receivers among them, and no
+reference cycle through a finished engine."""
 
 import dataclasses
+import gc
+import weakref
 
 import pytest
 
@@ -295,8 +298,8 @@ def test_wake_bucket_runs_each_node_once_in_id_order():
     engine = Engine(sc, behaviors, ForwardSink(Countdown()))
     for nid in (1, 2, 3):
         behaviors[nid].next_wake = 12
-    engine._file([3, 1], 0)
-    engine._file([2, 3], 0)
+    engine._file([3, 1], 0, finish=False)
+    engine._file([2, 3], 0, finish=False)
     assert engine._heap == [12] and engine._buckets == {12: [4, 3, 1, 2, 3]}
     engine.run(20)
     # the woken nodes in id order, then the touched parked ones
@@ -474,3 +477,18 @@ def test_dead_parked_relay_never_acks_after_its_death():
     assert not far.matched
     assert relay.listen_offset is None and relay.next_wake is None
     assert all(1 not in ids for ids in engine._calendar)
+
+
+def test_finished_engine_is_freed_without_the_cycle_collector():
+    # a reference cycle through the engine (a bound method of its own kept
+    # on it, say) would keep each finished run's engine and nodes alive
+    # until the cyclic collector runs, which raises peak memory
+    engine = relay_line(relay_rounds=2, deaths={2: 40})[0]
+    gc.disable()
+    try:
+        engine.run(200)
+        freed = weakref.ref(engine)
+        del engine
+        assert freed() is None
+    finally:
+        gc.enable()

@@ -273,6 +273,25 @@ def test_verify_flags_wrong_hop_and_parent():
     assert verify_least_hop(res, sc)
 
 
+@pytest.mark.parametrize("next_hop,problem", [
+    pytest.param(None, "node 2: no next hop", id="none"),
+    pytest.param(SINK, f"node 2: next hop {SINK} out of range", id="out-of-range"),
+    pytest.param(3, "node 2: next hop 3 has hop 2, want 1", id="wrong-hop"),
+])
+def test_verify_names_each_wrong_next_hop(next_hop, problem):
+    # the sink hears nodes 0 (at 5 m) and 1 (at 9 m); nodes 2 (at 12 m)
+    # and 3 (at 13 m) hear each other and both of those: hops 1, 1, 2, 2
+    nodes = [NodePlacement(i, x, 0.0, 0)
+             for i, x in enumerate((5.0, 9.0, 12.0, 13.0))]
+    sc = Scenario(ChargingSpec(3), nodes, sink_xy=(0.0, 0.0), range_m=10.0,
+                  width=20.0, height=1.0)
+    res = build_topology(sc)
+    assert res.hops == {0: 1, 1: 1, 2: 2, 3: 2}
+    assert verify_least_hop(res, sc) == []
+    res.next_hops[2] = next_hop
+    assert verify_least_hop(res, sc) == [problem]
+
+
 def test_isolated_node_transmits_nothing_and_ends_unreachable():
     # node 1 never hears a hop, so it never has a wake: the run ends once
     # node 0 retires, and node 1 sent nothing
