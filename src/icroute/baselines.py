@@ -1,5 +1,7 @@
 """Alternative next-hop selection strategies for comparison runs.
 
+Each strategy is the three members `ForwardNode` reads (see
+`forwarding`): `scan_target`, `failure_wait` and the `realign` flag.
 The default (`rics`) scans once, caches the matched offset, and backs
 off on failure.  The alternatives trade that cache away in different
 directions:
@@ -21,26 +23,14 @@ from .forwarding import CachedPolicy
 from .radio import derive_rng_stream
 
 
-class ContinuousSyncPolicy:
-    """Shared machinery for the no-cache strategies: after every
-    delivered frame the node realigns before sending the next one.
+class FixedHopPolicy(CachedPolicy):
+    """Realign toward one permanent next hop for every message.
 
-    So a matched session never sends, its next hop never fails, and
-    these strategies need no failure wait."""
+    A realigning node rescans after every acked frame, so a matched
+    session never sends and its next hop never fails: the inherited
+    failure wait is never read."""
 
-    def after_batch(self, node):
-        node.clear_match()
-
-    def after_send(self, node, slot):
-        if node.queue:
-            node.resync(slot)
-
-    def on_scan_exhausted(self, node):
-        pass
-
-
-class FixedHopPolicy(ContinuousSyncPolicy):
-    """Realign toward one permanent next hop for every message."""
+    realign = True
 
     def __init__(self, target: int):
         if target is None:
@@ -51,8 +41,10 @@ class FixedHopPolicy(ContinuousSyncPolicy):
         return self.target
 
 
-class RandomHopPolicy(ContinuousSyncPolicy):
+class RandomHopPolicy(CachedPolicy):
     """Redraw the target uniformly for every alignment scan."""
+
+    realign = True
 
     def __init__(self, candidates: list, rng):
         if not candidates:
@@ -68,22 +60,19 @@ class OpportunisticPolicy(CachedPolicy):
     """Cache like the default, but court one designated neighbor first.
 
     Scans are directed at the node handed over by the topology stage;
-    only after a full attempt window with no answer does the policy go
-    opportunistic and accept the first acking neighbor.  Failures skip
-    the recovery wait and probe again immediately.
+    once the node has had a full attempt window with no answer, or a
+    failure, it goes opportunistic and accepts the first acking
+    neighbor.  Failures skip the recovery wait and probe again
+    immediately.
     """
 
     def __init__(self, designated: int | None):
         self.designated = designated
-        self.fallback = designated is None
 
     def scan_target(self, node):
-        if self.fallback or node.failures > 0:
+        if node.exhausted or node.failures:
             return None
         return self.designated
-
-    def on_scan_exhausted(self, node):
-        self.fallback = True
 
     def failure_wait(self, node):
         return 0

@@ -63,11 +63,9 @@ class ExperimentConfig:
 
     @property
     def sink_xy(self) -> tuple[float, float]:
-        # middle of an edge; for the rectangle, one of the shorter ones
-        width, height = self.dims
-        if width <= height:
-            return (width / 2.0, 0.0)
-        return (0.0, height / 2.0)
+        # middle of the bottom edge; no shape is wider than it is tall,
+        # so that edge is a shortest one
+        return (self.dims[0] / 2.0, 0.0)
 
     def label(self) -> str:
         return (f"{self.shape}-n{self.n_nodes}-t{self.t}"

@@ -16,9 +16,15 @@ copy.  An idle receiver, unlocked with an empty queue and every
 reading made, parks at its base offset (see `engine`): it listens there
 and never wakes on its own.  A frame it hears finishes it in that slot,
 which may make it a sender.  A matched next hop that stops acking for a
-full cycle of attempts is treated as failed; recovery policy is
-pluggable (see `CachedPolicy` here and the alternatives in
-`baselines`).
+full cycle of attempts is treated as failed.
+
+A strategy is three members the node reads: `scan_target(node)` names
+whom a fresh scan courts (None: the first acking node downstream),
+`failure_wait(node)` how long a failed sender sits out, and the class
+flag `realign`.  A caching strategy (`CachedPolicy` here) keeps its
+match across messages and batches; a realigning one (the baselines in
+`baselines`) forgets it after every acked frame and rescans from where
+it stands, and forgets it again at batch end.
 """
 
 from __future__ import annotations
@@ -71,17 +77,10 @@ def failure_recovery_wait(spec: ChargingSpec) -> int:
 class CachedPolicy:
     """Default strategy: scan once, cache the match, sit out failures."""
 
+    realign = False  # one sync carries every later message and batch
+
     def scan_target(self, node):
         return None  # opportunistic: first acking node downstream wins
-
-    def after_batch(self, node):
-        pass  # cache survives between batches
-
-    def after_send(self, node, slot):
-        pass  # one sync carries the whole session
-
-    def on_scan_exhausted(self, node):
-        pass
 
     def failure_wait(self, node):
         return failure_recovery_wait(node.spec)
@@ -177,6 +176,7 @@ class ForwardNode:
         self.stale_breaks = 0
         self.forced_exits = 0
         self.failures = 0
+        self.exhausted = 0  # scans that ran a full cycle unanswered
 
     @property
     def matched(self):
@@ -334,18 +334,6 @@ class ForwardNode:
         self._misses = 0
         self.next_wake = slot + self.cycle + 1  # first try one slot late
 
-    def resync(self, slot):
-        """Forget the live match and align again before the next message.
-
-        The continuous-sync strategies call this after every delivered
-        frame: the node stays a sender but rescans from its current
-        residue with a fresh attempt budget, and the next frame opens a
-        new batch.
-        """
-        displacement = self.offset_cache
-        self.clear_match()
-        self._start_scan(slot, displacement)
-
     def _finish_sender(self, slot):
         """Wrap up one sender wake, scanning (`scan`) or matched (`send`);
         see the module docstring."""
@@ -354,18 +342,24 @@ class ForwardNode:
             # queue empty, so the batch is done (a scan always has one)
             self.state = "recv"
             self.next_wake = self._wake_at_base(slot)
-            self.policy.after_batch(self)
+            if self.policy.realign:
+                self.clear_match()
             return
         if self._got_ack:
             if self.state == "scan":
-                self.state = "send"
                 self.match_slots.append(slot)
+            if self.policy.realign and self.queue:
+                # rescan from the current residue with a fresh attempt
+                # budget; the next frame opens a new batch
+                self.next_hop = None
+                self._start_scan(slot, self.offset_cache)
+                return
+            self.state = "send"
             # an acked closing frame ends the batch; anything generated
             # later in this session opens a new one so receivers re-lock
             self._batch_acked = not self._flew_end
             self._misses = 0
             self.next_wake = slot + self.cycle
-            self.policy.after_send(self, slot)
             return
         self.queue.append(msg)
         self._misses += 1
@@ -376,7 +370,7 @@ class ForwardNode:
             # full circle, nobody answered; swing back and listen a while
             self.state = "recv"
             self.next_wake = self._wake_at_base(slot)
-            self.policy.on_scan_exhausted(self)
+            self.exhausted += 1
         else:
             self._matched_failure(slot)
 

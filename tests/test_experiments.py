@@ -14,6 +14,7 @@ from icroute.core import NO_HOP, SINK, ChargingSpec, NodePlacement, Scenario
 from icroute.experiments import (
     CSV_HEADER,
     MAX_PLACEMENT_TRIES,
+    SHAPES,
     ExperimentConfig,
     SparseAreaError,
     compute_cdf,
@@ -40,6 +41,10 @@ def test_sink_sits_mid_edge():
     assert ExperimentConfig(shape="square").sink_xy == (22.5, 0.0)
     # the rectangle is 40 wide by 80 tall; the sink takes a short edge
     assert ExperimentConfig(shape="rectangle").sink_xy == (20.0, 0.0)
+    # the sink takes the bottom edge, a shortest one only while no shape
+    # is wider than it is tall
+    for shape, (width, height) in SHAPES.items():
+        assert width <= height, shape
 
 
 def test_generated_scenario_is_connected_and_in_bounds():

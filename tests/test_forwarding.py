@@ -511,3 +511,32 @@ def test_single_node_next_to_sink_latency_is_t_plus_two():
             d = res.deliveries[0]
             assert d.created_at == offset
             assert d.delivered_at - d.created_at == t + 2
+
+
+def test_sink_ignores_a_handoff_it_overhears(monkeypatch):
+    # node 1 sits in the sink's range, but its hand-built hop of 2 and a
+    # fixed next hop make it address node 0; the sink hears every such
+    # frame and must neither ack nor deliver nor count it
+    spec = make_spec(3)
+    nodes = [NodePlacement(node_id=0, x=5.0, y=0.0, offset=1),
+             NodePlacement(node_id=1, x=9.0, y=0.0, offset=3)]
+    sc = Scenario(spec=spec, nodes=nodes, sink_xy=(0.0, 0.0), range_m=10.0,
+                  width=10.0, height=1.0, seed=2)
+    handoffs = []
+    on_data = ForwardSink.on_data
+
+    def spy(sink, slot, frame):
+        before = (sink.pending.value, sink.duplicates, len(sink.deliveries))
+        ack = on_data(sink, slot, frame)
+        if frame.dst not in (None, SINK):
+            after = (sink.pending.value, sink.duplicates, len(sink.deliveries))
+            handoffs.append((frame.dst, ack, before == after))
+        return ack
+
+    monkeypatch.setattr(ForwardSink, "on_data", spy)
+    res = run_forwarding(sc, {0: 1, 1: 2}, rounds=2,
+                         policies={1: FixedHopPolicy(0)})
+    assert handoffs and set(handoffs) == {(0, None, True)}
+    assert res.run.converged and res.duplicates == 0
+    assert sorted((d.origin, d.seq, d.path) for d in res.deliveries) == [
+        (0, 0, (0,)), (0, 1, (0,)), (1, 0, (1, 0)), (1, 1, (1, 0))]
