@@ -14,6 +14,10 @@ directions:
   neighbor first, falling back to whoever answers only after a whole
   attempt window comes back empty; on a dead next hop it rescans at
   once instead of sitting out the recovery wait.
+
+A node the topology stage gives nobody (no next hop for `fxcs` and
+`otps`, no lower-hop neighbor for `rncs`) scans for whoever answers, as
+under `rics`, so every strategy runs on every field.
 """
 
 from __future__ import annotations
@@ -32,9 +36,7 @@ class FixedHopPolicy(CachedPolicy):
 
     realign = True
 
-    def __init__(self, target: int):
-        if target is None:
-            raise ValueError("fixed strategy needs a resolved next hop")
+    def __init__(self, target: int | None):
         self.target = target
 
     def scan_target(self, node):
@@ -47,13 +49,11 @@ class RandomHopPolicy(CachedPolicy):
     realign = True
 
     def __init__(self, candidates: list, rng):
-        if not candidates:
-            raise ValueError("random strategy needs lower-hop neighbors")
         self.candidates = sorted(candidates)
         self.rng = rng
 
     def scan_target(self, node):
-        return self.rng.choice(self.candidates)
+        return self.rng.choice(self.candidates) if self.candidates else None
 
 
 class OpportunisticPolicy(CachedPolicy):

@@ -186,11 +186,8 @@ class Scenario:
     nodes: list[NodePlacement]
     sink_xy: tuple[float, float]
     range_m: float
-    width: float
-    height: float
     seed: int = 0
     deaths: dict[int, int] = field(default_factory=dict)
-    shape: str = "custom"
 
     def positions(self) -> dict[int, tuple[float, float]]:
         pos = {SINK: self.sink_xy}

@@ -94,11 +94,8 @@ def generate_scenario(config: ExperimentConfig) -> Scenario:
         nodes = [NodePlacement(i, width * random(), height * random(),
                                randrange(offsets))
                  for i in range(config.n_nodes)]
-        scenario = Scenario(
-            spec=spec, nodes=nodes, sink_xy=config.sink_xy,
-            range_m=config.range_m, width=width, height=height,
-            seed=config.seed, shape=config.shape,
-        )
+        scenario = Scenario(spec, nodes, config.sink_xy, config.range_m,
+                            config.seed)
         if NO_HOP not in bfs_hops(scenario).values():
             return scenario
     near = scenario.neighbors()

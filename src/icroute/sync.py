@@ -17,6 +17,9 @@ from statistics import fmean, pvariance
 
 from .core import ChargingSpec, delay_offset
 
+# delay probabilities the randomized baseline is tried at
+P_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+
 
 def closed_form_latency(o_s: int, o_r: int, spec: ChargingSpec) -> int:
     """Slot index of the first slot where both nodes are awake.
@@ -89,11 +92,10 @@ def sample_latencies(spec: ChargingSpec, trials: int, rng, p: float | None = Non
     return out
 
 
-def find_best_p(spec: ChargingSpec, trials: int, rng,
-                grid=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)):
-    """Grid-search the baseline's delay probability for minimum variance."""
+def find_best_p(spec: ChargingSpec, trials: int, rng):
+    """Search `P_GRID` for the baseline delay probability of least variance."""
     best = None
-    for p in grid:
+    for p in P_GRID:
         lats = sample_latencies(spec, trials, rng, p=p)
         if len(lats) < max(2, trials // 2):
             continue

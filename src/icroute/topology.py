@@ -397,7 +397,6 @@ class TopoNode:
         self.next_wake = target
         if target == tx_slot:
             self.state = "lead"
-            self._acked = {}
             self._pass_no += 1
             self._cur_ackers = False
 

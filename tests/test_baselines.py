@@ -2,16 +2,19 @@
 the cached strategy scans least, and failure recovery behaves per
 strategy."""
 
+import random
+
 import pytest
 
-from icroute.core import ChargingSpec, NodePlacement, Scenario
+from icroute.core import AckFrame, ChargingSpec, Message, NodePlacement, Scenario
 from icroute.baselines import (
     STRATEGIES,
+    FixedHopPolicy,
     RandomHopPolicy,
     build_policies,
     lower_hop_neighbors,
 )
-from icroute.forwarding import run_forwarding
+from icroute.forwarding import CachedPolicy, ForwardNode, run_forwarding
 from icroute.topology import build_topology
 
 
@@ -20,8 +23,7 @@ def line_scenario(t=5, offsets=(2, 5, 1), spacing=8.0, seed=42, deaths=None):
     nodes = [NodePlacement(node_id=i, x=spacing * (i + 1), y=0.0, offset=o)
              for i, o in enumerate(offsets)]
     return Scenario(spec=spec, nodes=nodes, sink_xy=(0.0, 0.0),
-                    range_m=spacing + 2.0, width=spacing * (len(offsets) + 1),
-                    height=1.0, seed=seed, deaths=deaths or {})
+                    range_m=spacing + 2.0, seed=seed, deaths=deaths or {})
 
 
 def diamond_scenario(t=5, seed=7, deaths=None):
@@ -33,7 +35,7 @@ def diamond_scenario(t=5, seed=7, deaths=None):
         NodePlacement(node_id=2, x=14.0, y=0.0, offset=0),
     ]
     return Scenario(spec=spec, nodes=nodes, sink_xy=(0.0, 0.0), range_m=9.0,
-                    width=16.0, height=8.0, seed=seed, deaths=deaths or {})
+                    seed=seed, deaths=deaths or {})
 
 
 def run_with(strategy, scenario, rounds=2, max_slots=None):
@@ -70,10 +72,6 @@ def test_opportunistic_matches_cached_when_nothing_fails():
 def test_fixed_strategy_rescans_every_batch():
     # two separated batches: the fixed strategy forgets its offset after
     # the first one and scans again, the cached strategy does not
-    from icroute.baselines import FixedHopPolicy
-    from icroute.core import AckFrame, Message
-    from icroute.forwarding import CachedPolicy, ForwardNode
-
     spec = ChargingSpec(charge_slots=5)
     placement = NodePlacement(node_id=1, x=0.0, y=0.0, offset=2)
 
@@ -112,9 +110,33 @@ def test_random_strategy_is_deterministic_per_seed():
     assert first.deliveries == second.deliveries
 
 
-def test_random_strategy_rejects_dead_ends():
-    with pytest.raises(ValueError):
-        RandomHopPolicy([], rng=None)
+def test_strategies_without_a_route_scan_for_whoever_answers():
+    # a node the mapping gives no next hop (fxcs) or no lower-hop neighbor
+    # (rncs) addresses its scan to nobody, and rncs draws nothing for it
+    spec = ChargingSpec(charge_slots=5)
+    placement = NodePlacement(node_id=1, x=0.0, y=0.0, offset=2)
+    rng = random.Random(3)
+    state = rng.getstate()
+    for policy in (FixedHopPolicy(None), RandomHopPolicy([], rng)):
+        node = ForwardNode(placement, spec, policy, hop=2, rounds=2)
+        frames = []
+        while ((node.generated < 2 or node.queue or node.state != "recv")
+               and node.next_wake <= 40 * 6):
+            slot = node.next_wake
+            frame = node.poll(slot)
+            if frame is not None:
+                frames.append(frame)
+                node.on_ack(slot, AckFrame(src=0, ack_dst=1))
+            node.finish(slot)
+        assert len(frames) == 2
+        assert all(f.dst is None for f in frames)
+        assert len(node.match_slots) == 2  # a fresh scan for each
+    assert rng.getstate() == state
+
+
+def test_unknown_strategy_is_refused():
+    with pytest.raises(ValueError, match="unknown strategy 'bogus'"):
+        build_policies("bogus", line_scenario(), topo=None)
 
 
 def test_lower_hop_candidates_come_from_heard_neighbors():

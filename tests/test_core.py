@@ -90,7 +90,7 @@ def test_wire_records_are_slotted():
 def test_scenario_positions_include_sink():
     spec = ChargingSpec(2)
     nodes = [NodePlacement(0, 1.0, 0.0, 0), NodePlacement(1, 2.0, 0.0, 1)]
-    sc = Scenario(spec, nodes, sink_xy=(0.0, 0.0), range_m=1.5, width=3.0, height=1.0)
+    sc = Scenario(spec, nodes, sink_xy=(0.0, 0.0), range_m=1.5)
     pos = sc.positions()
     assert pos[SINK] == (0.0, 0.0)
     assert pos[0] == (1.0, 0.0)
@@ -121,8 +121,7 @@ def test_disk_grid_needs_a_positive_range():
 def test_neighbors_exclude_self_and_include_the_boundary():
     nodes = [NodePlacement(0, 3.0, 4.0, 0), NodePlacement(1, 3.0, 4.0, 0),
              NodePlacement(2, 3.0, 9.0, 0), NodePlacement(3, 3.0, 9.5, 0)]
-    sc = Scenario(ChargingSpec(2), nodes, sink_xy=(0.0, 0.0), range_m=5,
-                  width=10.0, height=10.0)
+    sc = Scenario(ChargingSpec(2), nodes, sink_xy=(0.0, 0.0), range_m=5)
     # nodes 0 and 1 share a spot; 2 is exactly 5 m from them, 3 is 5.5 m
     assert sc.neighbors() == {SINK: {0, 1}, 0: {SINK, 1, 2}, 1: {SINK, 0, 2},
                               2: {0, 1, 3}, 3: {2}}

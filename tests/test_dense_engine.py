@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from icroute import engine as engine_module
 from icroute import forwarding, topology
 from icroute.baselines import STRATEGIES
-from icroute.core import NO_HOP, SINK, ChargingSpec, NodePlacement, Scenario
+from icroute.core import SINK, ChargingSpec, NodePlacement, Scenario
 from icroute.engine import Engine, RunResult
 from icroute.experiments import ExperimentConfig, generate_scenario, run_experiment
 from icroute.radio import (COLLISION, MICRO_SLOTS, EventTrace, derive_rng_stream,
@@ -118,8 +118,6 @@ def run_under(engine, scenario, cfg, out_dir):
             mock.patch.object(forwarding, "Engine", engine):
         mapping = EventTrace()
         topo = topology.build_topology(scenario, trace=mapping)
-        if NO_HOP in topo.hops.values() and cfg.strategy in ("fxcs", "rncs"):
-            return topo, mapping.ndjson(), None, None  # nothing to fix or draw
         res = run_experiment(cfg, scenario=scenario, topo=topo, trace=True)
     return topo, mapping.ndjson(), res.forward, exported(res, out_dir)
 
@@ -142,8 +140,7 @@ def test_engine_matches_the_dense_reference(points, t, seed, strategy, dying,
     nodes = [NodePlacement(i, x, y, off)
              for i, ((x, y), off) in enumerate(zip(points, offsets))]
     scenario = Scenario(ChargingSpec(t), nodes, sink_xy=(0.0, 0.0),
-                        range_m=10.0, width=18.0, height=18.0, seed=seed,
-                        deaths=deaths)
+                        range_m=10.0, seed=seed, deaths=deaths)
     cfg = ExperimentConfig(n_nodes=n, t=t, strategy=strategy, rounds=2,
                            seed=seed)
     with tempfile.TemporaryDirectory() as one, \

@@ -24,8 +24,7 @@ def line_field(*nodes, deaths=None):
     placements = [NodePlacement(node_id=nid, x=x, y=0.0, offset=0)
                   for nid, x in nodes]
     return Scenario(spec=ChargingSpec(charge_slots=5), nodes=placements,
-                    sink_xy=(0.0, 0.0), range_m=10.0, width=100.0,
-                    height=10.0, deaths=deaths or {})
+                    sink_xy=(0.0, 0.0), range_m=10.0, deaths=deaths or {})
 
 
 class Beacon:

@@ -9,6 +9,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from icroute import experiments
 from icroute.baselines import STRATEGIES
 from icroute.core import NO_HOP, SINK, ChargingSpec, NodePlacement, Scenario
 from icroute.experiments import (
@@ -35,6 +36,9 @@ def test_config_validation():
         ExperimentConfig(strategy="bogus")
     with pytest.raises(ValueError):
         ExperimentConfig(rounds=0)
+    for bad in ({"slot_ms": 0.0}, {"range_m": -1.0}):
+        with pytest.raises(ValueError, match="must be positive"):
+            ExperimentConfig(**bad)
 
 
 def test_sink_sits_mid_edge():
@@ -76,7 +80,7 @@ def reference_placement(config):
                                rng.uniform(0.0, height), rng.randint(0, config.t))
                  for i in range(config.n_nodes)]
         pos = list(Scenario(ChargingSpec(config.t), nodes, config.sink_xy,
-                            config.range_m, width, height).positions().items())
+                            config.range_m).positions().items())
         near = {a: set() for a, _ in pos}
         for i, (a, pa) in enumerate(pos):
             for b, pb in pos[i + 1:]:
@@ -219,6 +223,16 @@ def test_exports_are_byte_identical_across_runs(tmp_path):
         assert open(pa, "rb").read() == open(pb, "rb").read()
 
 
+def test_failed_write_leaves_no_temporary_file(tmp_path, monkeypatch):
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(experiments.os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        experiments._atomic_write(str(tmp_path / "summary.json"), "{}\n")
+    assert os.listdir(tmp_path) == []
+
+
 def test_trace_export_is_ndjson(tmp_path):
     res = run_experiment(SMALL, trace=True)
     paths = res.export(str(tmp_path))
@@ -269,7 +283,7 @@ def test_drawn_scenarios_map_least_hop_conserve_and_repeat(points, t, seed,
     nodes = [NodePlacement(i, x, y, off)
              for i, ((x, y), off) in enumerate(zip(points, offsets))]
     scenario = Scenario(ChargingSpec(t), nodes, sink_xy=(0.0, 0.0),
-                        range_m=10.0, width=18.0, height=18.0, seed=seed)
+                        range_m=10.0, seed=seed)
     topo = build_topology(scenario)
     want = bfs_hops(scenario)
     assert topo.hops == want
@@ -279,11 +293,6 @@ def test_drawn_scenarios_map_least_hop_conserve_and_repeat(points, t, seed,
 
     cfg = ExperimentConfig(n_nodes=len(nodes), t=t, strategy=strategy,
                            rounds=2, seed=seed)
-    if NO_HOP in want.values() and strategy in ("fxcs", "rncs"):
-        # a cut-off node has no next hop to fix or draw
-        with pytest.raises(ValueError, match="strategy needs"):
-            run_experiment(cfg, scenario=scenario, topo=topo)
-        return
     runs = [run_experiment(cfg, scenario=scenario, trace=True)
             for _ in range(2)]
     fwd = runs[0].forward
@@ -330,29 +339,21 @@ def test_drawn_deaths_silence_the_dead_conserve_and_repeat(points, t, seed,
     nodes = [NodePlacement(i, x, y, off)
              for i, ((x, y), off) in enumerate(zip(points, offsets))]
     scenario = Scenario(ChargingSpec(t), nodes, sink_xy=(0.0, 0.0),
-                        range_m=10.0, width=18.0, height=18.0, seed=seed,
-                        deaths=deaths)
+                        range_m=10.0, seed=seed, deaths=deaths)
     cfg = ExperimentConfig(n_nodes=n, t=t, strategy=strategy, rounds=2,
                            seed=seed)
 
     def run():
         mapping = EventTrace()
         topo = build_topology(scenario, trace=mapping)
-        if NO_HOP in topo.hops.values() and strategy in ("fxcs", "rncs"):
-            with pytest.raises(ValueError, match="strategy needs"):
-                run_experiment(cfg, scenario=scenario, topo=topo)
-            return mapping, None
         return mapping, run_experiment(cfg, scenario=scenario, topo=topo,
                                        trace=True)
 
     (mapping, res), (mapping_again, res_again) = run(), run()
     assert mapping.ndjson() == mapping_again.ndjson()
-    events = mapping.events + (res.trace.events if res else [])
-    for e in events:
+    for e in mapping.events + res.trace.events:
         for nid in (e.node, e.detail.get("src")):
             assert nid not in deaths or e.slot < deaths[nid], e
-    if res is None:
-        return
     fwd = res.forward
     keys = [(d.origin, d.seq) for d in fwd.deliveries]
     assert fwd.created == fwd.delivered + fwd.undelivered

@@ -20,6 +20,7 @@ from icroute.core import (
     delay_offset,
 )
 from icroute.engine import Countdown
+from icroute.sync import alignment_cycles
 from icroute.forwarding import (
     CachedPolicy,
     ForwardNode,
@@ -159,6 +160,10 @@ def test_pendulum_identity_for_every_match_position():
                 sent = drive(node, until=ack_slot + 2 * cycle - 1,
                              ack_slots={ack_slot})
                 assert (ack_slot, ) in [(s,) for s, _ in sent]
+                # the scan tries one slot late, then one more per cycle:
+                # the acked attempt is the one the alignment math names
+                assert len(node.scan_attempt_slots) == 1 + alignment_cycles(
+                    delay_offset(base, node.spec), ack_slot % cycle, node.spec)
                 assert node.matched
                 assert node.offset_cache == attempt % cycle
                 assert node.state == "recv"
@@ -417,8 +422,7 @@ def line_scenario(t=5, offsets=(2, 5, 1), spacing=8.0, seed=42):
     nodes = [NodePlacement(node_id=i, x=spacing * (i + 1), y=0.0, offset=o)
              for i, o in enumerate(offsets)]
     return Scenario(spec=spec, nodes=nodes, sink_xy=(0.0, 0.0),
-                    range_m=spacing + 2.0, width=spacing * (len(offsets) + 1),
-                    height=1.0, seed=seed)
+                    range_m=spacing + 2.0, seed=seed)
 
 
 def test_line_delivers_everything_once():
@@ -440,7 +444,7 @@ def test_cut_off_node_does_not_hold_up_forwarding():
     spec = make_spec(2)
     nodes = [NodePlacement(0, 8.0, 0.0, 1), NodePlacement(1, 60.0, 0.0, 2)]
     sc = Scenario(spec=spec, nodes=nodes, sink_xy=(0.0, 0.0), range_m=10.0,
-                  width=70.0, height=1.0, seed=5)
+                  seed=5)
     topo = build_topology(sc)
     assert topo.unreachable == {1}
     res = run_forwarding(sc, topo.hops, rounds=1)
@@ -490,7 +494,7 @@ def test_colocated_relays_resolve_race_without_duplicates():
         NodePlacement(node_id=2, x=16.0, y=0.0, offset=5),
     ]
     sc = Scenario(spec=spec, nodes=nodes, sink_xy=(0.0, 0.0), range_m=10.0,
-                  width=20.0, height=1.0, seed=3)
+                  seed=3)
     topo = build_topology(sc)
     assert topo.hops == {0: 1, 1: 1, 2: 2}
     res = run_forwarding(sc, topo.hops, rounds=1)
@@ -505,7 +509,7 @@ def test_single_node_next_to_sink_latency_is_t_plus_two():
             spec = make_spec(t)
             nodes = [NodePlacement(node_id=0, x=1.0, y=0.0, offset=offset)]
             sc = Scenario(spec=spec, nodes=nodes, sink_xy=(0.0, 0.0),
-                          range_m=2.0, width=2.0, height=1.0, seed=1)
+                          range_m=2.0, seed=1)
             res = run_forwarding(sc, {0: 1}, rounds=1)
             assert res.delivered == 1
             d = res.deliveries[0]
@@ -521,7 +525,7 @@ def test_sink_ignores_a_handoff_it_overhears(monkeypatch):
     nodes = [NodePlacement(node_id=0, x=5.0, y=0.0, offset=1),
              NodePlacement(node_id=1, x=9.0, y=0.0, offset=3)]
     sc = Scenario(spec=spec, nodes=nodes, sink_xy=(0.0, 0.0), range_m=10.0,
-                  width=10.0, height=1.0, seed=2)
+                  seed=2)
     handoffs = []
     on_data = ForwardSink.on_data
 

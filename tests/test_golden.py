@@ -259,7 +259,7 @@ def _isolated_field():
     # node 1 hears nobody: it stays parked, silent and unreachable
     nodes = [NodePlacement(0, 8.0, 0.0, 1), NodePlacement(1, 60.0, 0.0, 2)]
     return Scenario(ChargingSpec(2), nodes, sink_xy=(0.0, 0.0), range_m=10.0,
-                    width=70.0, height=1.0, seed=5)
+                    seed=5)
 
 
 def _dying_relay_field():
@@ -268,7 +268,7 @@ def _dying_relay_field():
     nodes = [NodePlacement(0, 7.0, 3.0, 2), NodePlacement(1, 7.0, -3.0, 4),
              NodePlacement(2, 14.0, 0.0, 0), NodePlacement(3, 21.0, 0.0, 3)]
     return Scenario(ChargingSpec(5), nodes, sink_xy=(0.0, 0.0), range_m=9.0,
-                    width=24.0, height=8.0, seed=7, deaths={1: 60})
+                    seed=7, deaths={1: 60})
 
 
 HAND_BUILT = {

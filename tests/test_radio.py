@@ -18,8 +18,7 @@ POS = {SINK: (0.0, 0.0), 0: (6.0, 0.0), 1: (0.0, 8.0), 2: (6.0, 8.0)}
 def scenario(pos, range_m):
     nodes = [NodePlacement(nid, x, y, 0) for nid, (x, y) in pos.items()
              if nid != SINK]
-    return Scenario(ChargingSpec(1), nodes, sink_xy=pos[SINK],
-                    range_m=range_m, width=50.0, height=50.0)
+    return Scenario(ChargingSpec(1), nodes, sink_xy=pos[SINK], range_m=range_m)
 
 
 def graph(range_m):

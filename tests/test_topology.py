@@ -26,10 +26,8 @@ def line_scenario(n, spacing=90.0, range_m=100.0, t=5, seed=1, offsets=None):
     nodes = [
         NodePlacement(i, spacing * (i + 1), 0.0, offsets[i]) for i in range(n)
     ]
-    return Scenario(
-        spec, nodes, sink_xy=(0.0, 0.0), range_m=range_m,
-        width=spacing * (n + 1), height=1.0, seed=seed,
-    )
+    return Scenario(spec, nodes, sink_xy=(0.0, 0.0), range_m=range_m,
+                    seed=seed)
 
 
 def random_scenario(n, width, height, range_m, t, seed):
@@ -40,7 +38,7 @@ def random_scenario(n, width, height, range_m, t, seed):
         for i in range(n)
     ]
     return Scenario(ChargingSpec(t), nodes, sink_xy=(width / 2, height / 2),
-                    range_m=range_m, width=width, height=height, seed=seed)
+                    range_m=range_m, seed=seed)
 
 
 def relaxed_hops(scenario):
@@ -97,8 +95,7 @@ def grid_fields(draw):
                for (x, y), (dx, dy) in partners]
     sink = draw(st.tuples(coord, st.integers(-120, 120).map(float)))
     nodes = [NodePlacement(i, x, y, 0) for i, (x, y) in enumerate(points)]
-    return Scenario(ChargingSpec(1), nodes, sink_xy=sink, range_m=range_m,
-                    width=80.0, height=80.0)
+    return Scenario(ChargingSpec(1), nodes, sink_xy=sink, range_m=range_m)
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
@@ -117,7 +114,7 @@ def test_bfs_unreachable_is_no_hop():
     sc = line_scenario(3, spacing=90)
     far = NodePlacement(99, 5000.0, 5000.0, 0)
     sc = Scenario(sc.spec, sc.nodes + [far], sc.sink_xy, sc.range_m,
-                  6000.0, 6000.0, seed=sc.seed)
+                  seed=sc.seed)
     assert bfs_hops(sc)[99] == NO_HOP
 
 
@@ -167,6 +164,21 @@ def test_relay_late_joiner_starts_at_the_first_round_ahead():
     assert node._anchor == 94 and node._vround == 2
     assert node.state == "lead" and node.next_wake == 108
     assert node.poll(108).round_no == 2
+
+
+def test_stale_acker_is_visited_before_its_first_transmission():
+    # t=5: node 9 acked our stale hop in locked round 0 at slot 100, so it
+    # anchors 4 rounds on (128), moved up to its offset (100 % 6 == 4):
+    # its first transmission is at 130.  Improved at slot 101, we send it
+    # our new hop at that offset a cycle on, at 112, before it transmits;
+    # our own anchor is at 131, so the frame is stamped (112 - 131) // 7
+    node = _bare_node(t=5)
+    node.hop, node.next_hop = 2, 7
+    node._acked = {9: (100, 0)}
+    assert node._plan_calls(101) == [(112, True)]
+    node._enter_lead(101, round_no=0)
+    assert node.state == "lead_wait" and node.next_wake == 112
+    assert node.poll(112) == HopFrame(0, 2, -3)
 
 
 def test_single_neighbor_learns_hop_during_sink_pass():
@@ -240,8 +252,7 @@ def test_only_a_listening_node_is_without_a_wake(points, t, seed, data):
     nodes = [NodePlacement(i, x, y, off)
              for i, ((x, y), off) in enumerate(zip(points, offsets))]
     scenario = Scenario(ChargingSpec(t), nodes, sink_xy=(0.0, 0.0),
-                        range_m=10.0, width=18.0, height=18.0, seed=seed,
-                        deaths=deaths)
+                        range_m=10.0, seed=seed, deaths=deaths)
     ran = []  # the slot of every finish, the sink's included
     node_finish, sink_finish = TopoNode.finish, TopoSink.finish
 
@@ -283,8 +294,7 @@ def test_verify_names_each_wrong_next_hop(next_hop, problem):
     # and 3 (at 13 m) hear each other and both of those: hops 1, 1, 2, 2
     nodes = [NodePlacement(i, x, 0.0, 0)
              for i, x in enumerate((5.0, 9.0, 12.0, 13.0))]
-    sc = Scenario(ChargingSpec(3), nodes, sink_xy=(0.0, 0.0), range_m=10.0,
-                  width=20.0, height=1.0)
+    sc = Scenario(ChargingSpec(3), nodes, sink_xy=(0.0, 0.0), range_m=10.0)
     res = build_topology(sc)
     assert res.hops == {0: 1, 1: 1, 2: 2, 3: 2}
     assert verify_least_hop(res, sc) == []
@@ -292,13 +302,26 @@ def test_verify_names_each_wrong_next_hop(next_hop, problem):
     assert verify_least_hop(res, sc) == [problem]
 
 
+def isolated_field():
+    # the golden `isolated` field: node 1 is out of everyone's range
+    nodes = [NodePlacement(0, 8.0, 0.0, 1), NodePlacement(1, 60.0, 0.0, 2)]
+    return Scenario(ChargingSpec(2), nodes, sink_xy=(0.0, 0.0), range_m=10.0,
+                    seed=5)
+
+
+def test_verify_accepts_a_node_left_without_a_hop_only_where_it_has_none():
+    sc = isolated_field()
+    res = build_topology(sc)
+    assert res.next_hops[1] is None
+    assert verify_least_hop(res, sc) == []
+    res.hops[1], res.next_hops[1] = 2, 0
+    assert verify_least_hop(res, sc) == [f"node 1: hop 2 != least {NO_HOP}"]
+
+
 def test_isolated_node_transmits_nothing_and_ends_unreachable():
     # node 1 never hears a hop, so it never has a wake: the run ends once
     # node 0 retires, and node 1 sent nothing
-    spec = ChargingSpec(2)
-    nodes = [NodePlacement(0, 8.0, 0.0, 1), NodePlacement(1, 60.0, 0.0, 2)]
-    sc = Scenario(spec, nodes, sink_xy=(0.0, 0.0), range_m=10.0,
-                  width=70.0, height=1.0, seed=5)
+    sc = isolated_field()
     trace = EventTrace()
     res = build_topology(sc, trace=trace)
     assert res.hops == {0: 1, 1: NO_HOP}
@@ -316,7 +339,7 @@ def test_field_nobody_hears_converges_after_the_sinks_pass(n):
     nodes = [NodePlacement(i, 200.0 + 90.0 * i, 0.0, i % (t + 1))
              for i in range(n)]
     sc = Scenario(ChargingSpec(t), nodes, sink_xy=(0.0, 0.0), range_m=100.0,
-                  width=500.0, height=1.0, seed=3)
+                  seed=3)
     res = build_topology(sc)
     assert res.converged_at == 2 * t
     assert res.run.frames_sent == t + 1

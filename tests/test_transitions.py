@@ -96,8 +96,6 @@ def test_every_state_move_is_in_the_table(moves, dying):
         phase[0] = "topology"
         topo = build_topology(scenario)
         for strategy in STRATEGIES:
-            if NO_HOP in topo.hops.values() and strategy in ("fxcs", "rncs"):
-                continue  # these strategies refuse a node without a hop
             phase[0] = strategy
             run_forwarding(scenario, topo.hops, rounds=2,
                            policies=build_policies(strategy, scenario, topo))
