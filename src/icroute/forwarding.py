@@ -12,11 +12,17 @@ queue, swings the node back to its base offset.
 Receivers lock onto a sender for the duration of a marked batch, which
 keeps two candidate relays from both adopting the same traffic: the
 loser notices the sender naming the other node and quietly discards its
-copy.  An idle receiver, unlocked with an empty queue and every
-reading made, parks at its base offset (see `engine`): it listens there
-and never wakes on its own.  A frame it hears finishes it in that slot,
-which may make it a sender.  A matched next hop that stops acking for a
-full cycle of attempts is treated as failed.
+copy.  The lock alone decides when a receiver leaves.  A lock ends
+with its batch's closing frame, or once its sender stays silent for
+more than a cycle of wakes.  A receiver that is unlocked and past its
+failure hold is free: with a message queued it takes the sender role,
+and idle with every reading made it parks at its base offset (see
+`engine`), where it listens and never wakes on its own.  A frame it
+hears finishes it in that slot, which may make it a sender.  A matched
+next hop that stops acking for a full cycle of attempts is treated as
+failed, and the sender sits out the strategy's failure wait as a
+receiver.  That hold gates only contention: the node still takes
+batches in it, and a silent lock times out in it as anywhere else.
 
 A strategy is three members the node reads: `scan_target(node)` names
 whom a fresh scan courts (None: the first acking node downstream),
@@ -43,7 +49,6 @@ from .core import (
 )
 from .engine import Countdown, Engine, RunResult
 
-QUEUE_THRESHOLD = 1  # queued messages needed to take the sender role
 QUEUE_CAP = 16  # messages a node holds; a full queue acks nothing
 
 
@@ -161,12 +166,11 @@ class ForwardNode:
         self._got_ack = False
         self._flew_end = False
         self._misses = 0  # unacked frames since the last ack or sender entry
-        self._hold_until = 0  # a receiver sits out a failure until this slot
+        self._hold_until = 0  # a failed sender contends again from this slot
         # receiver side
         self.id_match = None
         self.time_wait = 0
         self.seen = set()
-        self._go_sender = False
         # workload
         self.generated = 0
         # counters for tests and summaries
@@ -229,19 +233,21 @@ class ForwardNode:
             # locked: third parties get neither queue space nor acks, even
             # for frames that name us directly
             return None
+        # past here a locked receiver hears only its sender, and
+        # `time_wait` is read only while locked and reset when a lock starts
         key = (frame.origin, frame.seq)
         if key in self.seen:
             # retransmit after a lost ack: ack again, queue nothing
-            if frame.src == self.id_match:
-                self.time_wait = 0
+            self.time_wait = 0
             return AckFrame(self.id, frame.src)
         legit = frame.dst == self.id or (frame.dst is None and self.id_match is None)
         if not legit:
-            if frame.src == self.id_match:
+            if self.id_match is not None:
                 # our sender switched targets or lost its match: the lock
                 # is stale, but every copy it already acked into our queue
                 # is ours to carry onward
-                self._break_stale_lock()
+                self.stale_breaks += 1
+                self.id_match = None
             return None
         if len(self.queue) >= QUEUE_CAP:
             self.dropped_full += 1
@@ -249,20 +255,12 @@ class ForwardNode:
         self.queue.append(Message(frame.origin, frame.seq, frame.created_at,
                                   frame.path + (self.id,)))
         self.seen.add(key)
-        if frame.is_start:
-            self.id_match = frame.src
-            self.time_wait = 0
-        elif frame.src == self.id_match:
-            self.time_wait = 0
-        if frame.is_end and frame.src == self.id_match:
-            self.id_match = None
-            self._go_sender = True
-        return AckFrame(self.id, frame.src)
-
-    def _break_stale_lock(self):
-        self.stale_breaks += 1
-        self.id_match = None
         self.time_wait = 0
+        if frame.is_end:
+            self.id_match = None
+        elif frame.is_start:
+            self.id_match = frame.src
+        return AckFrame(self.id, frame.src)
 
     # -- workload ------------------------------------------------------
 
@@ -291,26 +289,18 @@ class ForwardNode:
             raise AssertionError(f"unknown state {state}")
 
     def _finish_recv(self, slot):
-        if slot < self._hold_until:
-            # sitting out a failed next hop: listen each cycle, go nowhere
-            self.next_wake = slot + self.cycle
-            return
         if self.id_match is not None:
             self.time_wait += 1
             if self.time_wait > self.cycle:
                 # locked sender went quiet mid-batch: move what we have
                 self.id_match = None
                 self.forced_exits += 1
-                self._go_sender = True
-        want_sender = self._go_sender or (
-            self.id_match is None
-            and len(self.queue) >= QUEUE_THRESHOLD
-        )
-        self._go_sender = False
-        if want_sender and self.queue:
+        if self.id_match is not None or slot < self._hold_until:
+            # locked, or sitting out a failed next hop: listen next cycle
+            self.next_wake = slot + self.cycle
+        elif self.queue:
             self._enter_sender(slot)
-        elif (self.id_match is None and not self.queue
-              and self.generated == self.rounds):
+        elif self.generated == self.rounds:
             # idle with every reading made: listen at base, never wake
             self.listen_offset = self.base
             self.next_wake = None

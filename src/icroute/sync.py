@@ -32,8 +32,7 @@ def closed_form_latency(o_s: int, o_r: int, spec: ChargingSpec) -> int:
     for o in (o_s, o_r):
         if not 0 <= o <= t:
             raise ValueError(f"offset {o} outside [0, {t}]")
-    d = (o_r - o_s) % spec.cycle
-    return d * spec.cycle + o_r
+    return alignment_cycles(o_s, o_r, spec) * spec.cycle + o_r
 
 
 def alignment_cycles(o_s: int, o_r: int, spec: ChargingSpec) -> int:

@@ -107,25 +107,34 @@ def test_failure_recovery_wait_values(monkeypatch):
 # -- sender state machine, bench-driven ------------------------------------
 
 
-def test_scan_attempt_slots_walk_one_ahead_each_cycle(monkeypatch):
-    # offset 2, t=5: sender entry at slot 8, attempts at 15, 22, 29, ...
-    monkeypatch.setattr(forwarding, "QUEUE_THRESHOLD", 2)
-    node = make_node(rounds=2)
-    sent = drive(node, until=28)
-    assert [s for s, _ in sent] == [15, 22]
+def two_message_sender():
+    """A node at offset 2, t=5, that enters the sender role at slot 2
+    with two queued messages, seq 0 and 1."""
+    node = make_node()
+    node.queue.extend(Message(origin=1, seq=seq, created_at=2, path=(1,))
+                      for seq in range(2))
+    node.finish(2)
+    assert node.state == "scan"
+    return node
+
+
+def test_scan_attempt_slots_walk_one_ahead_each_cycle():
+    # offset 2, t=5: sender entry at slot 2, attempts at 9, 16, 23, ...
+    node = two_message_sender()
+    sent = drive(node, until=22)
+    assert [s for s, _ in sent] == [9, 16]
     assert node.offset_forth == 2
     assert swing_back(node.offset_forth, node.spec) == 4
 
 
-def test_match_at_third_attempt_sends_batch_on_consecutive_cycles(monkeypatch):
-    # two queued messages, ack arrives at the third attempt (slot 29):
+def test_match_at_third_attempt_sends_batch_on_consecutive_cycles():
+    # two queued messages, ack arrives at the third attempt (slot 23):
     # the matched frame and its successor go out one cycle apart on the
     # swung offset, first opening and last closing the batch
-    monkeypatch.setattr(forwarding, "QUEUE_THRESHOLD", 2)
-    node = make_node(rounds=2)
-    sent = drive(node, until=40, ack_slots={29, 35})
+    node = two_message_sender()
+    sent = drive(node, until=34, ack_slots={23, 29})
     slots = [s for s, _ in sent]
-    assert slots == [15, 22, 29, 35]
+    assert slots == [9, 16, 23, 29]
     assert all(s % 6 == 5 for s in slots[2:])  # swung offset 2+3
     assert node.matched and node.offset_cache == 3 and node.next_hop == PEER
     opening = [f.is_start for _, f in sent]
@@ -136,11 +145,10 @@ def test_match_at_third_attempt_sends_batch_on_consecutive_cycles(monkeypatch):
     assert [f.seq for _, f in sent] == [0, 1, 0, 1]
 
 
-def test_batch_done_swings_back_to_base_offset(monkeypatch):
-    monkeypatch.setattr(forwarding, "QUEUE_THRESHOLD", 2)
-    node = make_node(rounds=2)
-    # the batch closes at 35; its empty-queue wake at 41 swings back
-    drive(node, until=41, ack_slots={29, 35})
+def test_batch_done_swings_back_to_base_offset():
+    node = two_message_sender()
+    # the batch closes at 29; its empty-queue wake at 35 swings back
+    drive(node, until=35, ack_slots={23, 29})
     assert node.state == "recv"
     assert node.next_wake % 6 == 2
     assert not node.queue
@@ -392,9 +400,8 @@ def test_sender_naming_someone_else_breaks_stale_lock():
     assert len(node.queue) == 1
 
 
-def test_closing_frame_unlocks_and_hands_over_sender_role(monkeypatch):
-    monkeypatch.setattr(forwarding, "QUEUE_THRESHOLD", 16)
-    node = make_node()  # far above the queue depth
+def test_closing_frame_unlocks_and_hands_over_sender_role():
+    node = make_node()
     node.on_data(10, data_frame(seq=0, is_start=True))
     node.on_data(16, data_frame(seq=1, dst=1, is_end=True))
     assert node.id_match is None
@@ -412,6 +419,68 @@ def test_silent_locked_sender_forces_exit_after_full_cycle():
     assert node.forced_exits == 1
     assert node.state == "scan"
     assert node.id_match is None
+
+
+def failed_sender():
+    """A node at offset 2, t=5, whose matched next hop went silent: the
+    failure trips at slot 45, and it listens on base (56, 62, ...) until
+    its hold ends at slot 147."""
+    node = make_node(rounds=2)
+    drive(node, until=9, ack_slots={9})
+    drive(node, until=45)
+    assert node.failures == 1 and node.state == "recv"
+    assert node._hold_until == 45 + failure_recovery_wait(node.spec) == 147
+    assert node.next_wake == 56
+    return node
+
+
+def listen_through(node, until, frames):
+    """Wake a receiver up to `until`, hearing frames[slot] before it
+    finishes that slot; every frame must be acked."""
+    while node.next_wake <= until:
+        slot = node.next_wake
+        assert node.poll(slot) is None
+        if slot in frames:
+            assert isinstance(node.on_data(slot, frames[slot]), AckFrame)
+        node.finish(slot)
+
+
+def test_held_receiver_stays_locked_to_a_second_sender_past_its_hold():
+    # inside the hold, sender 7 hands over a whole batch and unlocks us;
+    # then sender 8 locks us.  When the hold ends the lock, not the
+    # finished batch, decides: we stay a receiver for 8.
+    node = failed_sender()
+    listen_through(node, 146, {
+        56: data_frame(src=7, seq=0, is_start=True),
+        62: data_frame(src=7, seq=1, dst=1, is_end=True),
+        146: data_frame(src=8, origin=8, is_start=True, path=(8,)),
+    })
+    listen_through(node, 152, {})  # first wake past the hold
+    assert node.state == "recv" and node.id_match == 8
+    assert node.next_wake == 158
+    # 8's closing frame is acked and unlocks us, so we take the role
+    listen_through(node, 158, {
+        158: data_frame(src=8, origin=8, seq=1, dst=1, is_end=True, path=(8,))})
+    assert node.id_match is None and node.state == "scan"
+    # our seq 0 was acked at slot 9; seq 1 waited out the failure
+    assert [(m.origin, m.seq) for m in node.queue] == [
+        (1, 1), (7, 0), (7, 1), (8, 0), (8, 1)]
+
+
+def test_silent_lock_taken_in_a_hold_is_forced_out_inside_it():
+    # sender 7 locks us at wake 56 and says no more: that wake and the
+    # next t+1 count the lock clock up past a cycle, so the lock is
+    # forced out at wake 56 + 6 * 6 = 92, long before the hold ends
+    node = failed_sender()
+    listen_through(node, 86, {56: data_frame(src=7, is_start=True)})
+    assert node.id_match == 7 and node.forced_exits == 0
+    listen_through(node, 92, {})
+    assert node.id_match is None and node.forced_exits == 1
+    # still held: listen every cycle until the hold ends, then send
+    listen_through(node, 146, {})
+    assert node.state == "recv" and node.next_wake == 152
+    listen_through(node, 152, {})
+    assert node.state == "scan"
 
 
 # -- end-to-end runs -------------------------------------------------------

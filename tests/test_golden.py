@@ -48,9 +48,9 @@ GOLDEN = {
     ("square", 50, 5, 1): {
         "topology/trace.ndjson": "cfe6929b5838d92687af75638ae6ef974aa97c0dde1bcfa5299db5516afa5e61",
         "topology.json": "17bbcfbed014f70cfb06ea71bab21d107b1b45a1d04ecd27cef0511926ff7435",
-        "rics/messages.csv": "5adc0c4be1d4e216585fb1ebdb591e638c78bdee29d21baa404ffeffca510481",
-        "rics/summary.json": "ba9786bb4c65a353644f3b5778459fc7ddb471ba097301b54f870a8ad0f39b2a",
-        "rics/trace.ndjson": "faa19252e61c95590446e5ce652a342f323df6bf72a08e619b210fd0a45d7924",
+        "rics/messages.csv": "674d6cde40c58b4bf2ba4183da7dfef902ef1fcd61cab60556c79da98d10db3e",
+        "rics/summary.json": "abd81cc8e0046db1e451d1e8b7a15d730fa15f371d3d196cdde0a0d057aa4ae0",
+        "rics/trace.ndjson": "e8b8f5b6238b712c3122697a8beaa22f96f2f85a83da179e29c6c496037048e5",
         "fxcs/messages.csv": "b84b9230a8d4dafdc3631e20381c5eed1ab13873d7bb2ba91795d9fbee454d94",
         "fxcs/summary.json": "7c7e048e9770ee00b05bde297305b75a78e783ec0e6a0ffe33f7497eb0517330",
         "rncs/messages.csv": "a5884b707dae754603fa47652684c7339e981d8e925fc7131d68c63ec01bfa4a",
@@ -100,9 +100,9 @@ GOLDEN = {
     ("square", 100, 5, 1): {
         "topology/trace.ndjson": "f08c6f6da6fe6af7ce3b3545226067e027652f8196b8563b1ab6c0c2a2db23c1",
         "topology.json": "f67bb542f6bbc2867a6c7ad8c7ef3e17a88094079217126dc6ddbfcf5b7666ba",
-        "rics/messages.csv": "49b0c25cd7711952b47c37734867398f9b7eca4735f16c584fceafa62b02bf46",
-        "rics/summary.json": "373de5b46b907a523c1e62c3a57fc19708c69116fbec0dfdf5236e63f141d577",
-        "rics/trace.ndjson": "740a7a96c159075a3cbda2342e894578200c977ea2ddd699f13b69eed6b30ef1",
+        "rics/messages.csv": "d58071d63e16fc8df29caca0bd968603bb4ea25b945c7079994dfb9a56ab6b57",
+        "rics/summary.json": "f762557e81354cfba7b736252fb89e6070c3f988f161c74472b3f415aafee7ea",
+        "rics/trace.ndjson": "72e51713954e35bb46bd713d37f15bb17ab0a82b4f7eea171953f06cef46d6b7",
         "fxcs/messages.csv": "12ee23cad8d3512bafeeeaad6cdc0a0beed37cbc73375c6cb4efafc67acf69f7",
         "fxcs/summary.json": "c401524eb341ab511cf1a4127c0fde27edb18c01dd0dafba8d098ab1a9e40e88",
         "rncs/messages.csv": "16de0b83bfc65926770c4a36bf13a5d99246256cc7af0cd2af8372795ac629fe",
@@ -165,9 +165,9 @@ GOLDEN = {
     ("square", 100, 5, 10): {
         "topology/trace.ndjson": "f08c6f6da6fe6af7ce3b3545226067e027652f8196b8563b1ab6c0c2a2db23c1",
         "topology.json": "f67bb542f6bbc2867a6c7ad8c7ef3e17a88094079217126dc6ddbfcf5b7666ba",
-        "rics/messages.csv": "d95d8d6494529561e11229a689fdf18b445d3cd8506ad1cf6b1ff60756968d01",
-        "rics/summary.json": "d8197edb5ea97efc19173775910c07d4b128632c024022f605f52eda44dac566",
-        "rics/trace.ndjson": "b04f33a5b6ffc32ab2cf9c58606c82cde25416003d9b4de1c7c1b2ddb20b2ccf",
+        "rics/messages.csv": "1e294c96a55e83a6717a9c43b5891cbfb90b61cdf8685c084317dd8058a2e39c",
+        "rics/summary.json": "041a92ea013f861299dfb1300d9e3935a7fe2ad50c2a17c9743df4352a6f8190",
+        "rics/trace.ndjson": "83397150851a0dd064a4ce90347c40fc3d0d2e8d2a117ac06fd9c3e30be817b1",
         "fxcs/messages.csv": "ab8d434b935187e96ecb6f6bccab4d9cb477a2e7f05b64b2115b0ce895f3a074",
         "fxcs/summary.json": "1e2ff2a8cbc4af57190954a137054472870914ec0450c4cb6658abc1a220ca21",
         "rncs/messages.csv": "f2020e7738658a419b3fce3fa8a5ebe467837256fb2fe2d502ff2fec47d94825",

@@ -5,7 +5,9 @@ is wrapped to record the node's state before and after the call, over
 generated fields with and without deaths, mapped and then forwarded
 under every strategy.  Each recorded move must be in the table here,
 and each move in the table must show up somewhere in the sweep, so a
-table entry that stops being used is noticed too.
+table entry that stops being used is noticed too.  A `ForwardNode`
+must also enter the sender role only while unlocked: the batch lock
+alone decides when a receiver leaves.
 """
 
 import random
@@ -85,6 +87,14 @@ def moves(monkeypatch):
     for cls in (TopoNode, ForwardNode):
         for name in ("finish", "on_data", "on_ack"):
             wrap(cls, name)
+
+    enter_sender = ForwardNode._enter_sender
+
+    def unlocked_enter_sender(node, slot):
+        assert node.id_match is None, (phase[0], node.id, slot, node.id_match)
+        return enter_sender(node, slot)
+
+    monkeypatch.setattr(ForwardNode, "_enter_sender", unlocked_enter_sender)
     return seen, phase
 
 
