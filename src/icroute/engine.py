@@ -68,6 +68,18 @@ heard something; its `finish` then parks it again or schedules it, and
 the deadline it leaves in a bucket is no longer live.  A parked node
 never makes the engine process a slot before its deadline.
 
+The charge rule: a node finished in slot `s` must charge for a cycle,
+so if it parks at offset `o` it listens there only from slot
+`s + cycle` on.  A park at `s`'s own offset meets the rule by itself;
+a park at another offset misses exactly one slot, the one slot at `o`
+inside the cycle, `s + (o - s) % cycle`.  `_file` keeps that slot and
+the ids that miss it as one `(slot, ids)` entry per offset (parks from
+different slots that miss the same slot share it), and `_step` leaves
+those ids off the listeners of that slot.  A node is parked from the
+slot it last worked in, so a state that starts by listening at a new
+offset costs no wake.  The nodes filed when the engine is built are
+charged.
+
 The calendar needs no index of where each node is filed: a parked
 deadline must lie at the node's `listen_offset` (filing raises
 otherwise), and a touched node was heard at its offset, so a node
@@ -126,12 +138,15 @@ class Engine:
         }
         self._cycle = scenario.spec.cycle
         self._calendar = [set() for _ in range(self._cycle)]  # offset -> ids
+        # offset -> (slot, ids): the one slot at that offset in which the
+        # ids, parked there from another offset, are still charging
+        self._charging = [None] * self._cycle
         self._heap = []  # each distinct slot that has a bucket, once
         self._buckets = {}  # slot -> ids filed for it, in filing order
         self._ran = 0  # the last slot in which a node ran
         # what `_file` reads, in one load per call
         self._filing = (self._all, self._cycle, self._calendar, self._heap,
-                        self._buckets)
+                        self._buckets, self._charging)
         self._file(self._all, -1, finish=False)
         # (death slot, id), latest first: the next death is the last entry
         self._deaths = sorted(((d, n) for n, d in scenario.deaths.items()),
@@ -198,9 +213,12 @@ class Engine:
     def _file(self, ids, slot, finish=True):
         """Finish each node in `slot` (unless `finish` is false, as in the
         initial filing), then queue its `next_wake` and move it in the
-        calendar from the offset of `slot` to its `listen_offset`."""
-        behaviors, cycle, calendar, heap, buckets = self._filing
-        here = calendar[slot % cycle]
+        calendar from the offset of `slot` to its `listen_offset`; a node
+        finished at one offset and parked at another misses that offset's
+        next slot (the charge rule)."""
+        behaviors, cycle, calendar, heap, buckets, charging = self._filing
+        at = slot % cycle
+        here = calendar[at]
         for nid in ids:
             beh = behaviors[nid]
             if finish:
@@ -212,6 +230,13 @@ class Engine:
                 if wake is not None and wake % cycle != offset:
                     raise RuntimeError(f"node {nid} parked off its offset")
                 calendar[offset].add(nid)
+                if offset != at and finish:
+                    missed = slot + (offset - slot) % cycle
+                    entry = charging[offset]
+                    if entry is None or entry[0] != missed:
+                        charging[offset] = (missed, {nid})
+                    else:
+                        entry[1].add(nid)
             if wake is not None:
                 if wake <= slot:
                     raise RuntimeError(f"node {nid} rescheduled into the past")
@@ -248,8 +273,13 @@ class Engine:
         res.frames_sent += len(tx_a)
 
         # the listeners: the sink, then the scheduled nodes and the ones
-        # parked at the slot's offset, in node-id order
-        parked = self._calendar[slot % self._cycle]
+        # parked at the slot's offset, less those still charging, in
+        # node-id order
+        at = slot % self._cycle
+        parked = self._calendar[at]
+        charging = self._charging[at]
+        if charging is not None and charging[0] == slot:
+            parked = parked - charging[1]
         listeners = sorted(parked.union(awake)) if parked else awake
         if listeners[0] != SINK:
             listeners = [SINK, *listeners]

@@ -54,8 +54,10 @@ state; a broadcaster keeps running passes (with a re-randomized
 rotation start) until two consecutive passes bring no new ackers.
 Every retry pass flips a coin at each working slot: transmit here and
 step the rotation, or just listen and stay.  The node draws a step's
-whole run of coins when the pass steps, and parks at its new offset
-through the listen-only cycles until the transmit slot they pick.  Each
+whole run of coins when the pass steps, in its transmit slot, and when
+the run starts with a listen-only cycle it parks at its new offset
+from that slot, with the transmit slot the coins pick as its deadline;
+the engine's charge rule has it listen there from a cycle later.  Each
 offset is still covered exactly once, but two neighbors whose retries
 overlap are no longer transmit-only in lockstep, so they can actually
 hear each other mid-pass.
@@ -70,6 +72,10 @@ required number of farewells have each run clean, which keeps farewells
 from being spent while the neighborhood is still loud, and leaves the
 last word to a pass transmitted into drained air, where one clean
 exchange is enough for a straggling neighbor to correct us or adopt us.
+Cooldown and verify park from the slot that enters them, and so does a
+lead pass's catch or echo whose first listen is the first slot at its
+offset a cycle after the pass, so a mapping node wakes only to
+transmit or to move on.
 
 A listener that decodes a frame claiming a hop at least two above its
 own answers in the ack phase with its own hop frame, which the
@@ -264,7 +270,7 @@ class TopoNode:
         elif self.state == "lead_wait":
             self._advance_lead_wait(slot)
         elif self.state == "lead":
-            self._advance_lead()
+            self._advance_lead(slot)
         elif self.state == "bcast":
             self._advance_pass(slot)
         elif self.state == "lead_hold":
@@ -284,7 +290,10 @@ class TopoNode:
             raise AssertionError(f"unknown state {self.state!r}")
 
     def _listen(self, slot, until):
-        """Park at this slot's offset (see `icroute.engine`).
+        """Park at the offset of `slot` (see `icroute.engine`): this
+        slot's, or the first slot at a new offset within a cycle, where
+        the engine's charge rule has us listen from a cycle after this
+        slot.
 
         The deadline is the first later slot at this offset that is at
         least `until`, where the state's own check fires; None waits for
@@ -430,7 +439,7 @@ class TopoNode:
             return last, end + c + ahead + 1, max(hold_end, anchor + (last + 2 * ahead + 4) * rl)
         return last, end + c, hold_end
 
-    def _advance_lead(self):
+    def _advance_lead(self, slot):
         """Step to the next locked round, or hand over to catch and echo."""
         last, listen, hold_end = self._plan
         if self._vround < last:
@@ -438,8 +447,15 @@ class TopoNode:
             self.next_wake = self._anchor + self._vround * self.round_len
             return
         # the echo ends at hold_end: its last wake is within a cycle of it
-        self.next_wake, self._until = listen, hold_end - self.cycle
+        self._until = hold_end - self.cycle
         self.state = "lead_hold"
+        if listen < slot + 2 * self.cycle:
+            # the first listen is the first slot at its offset a cycle
+            # from now (and before `_until`: the echo runs a pass): park
+            # there from this slot
+            self._listen(listen, self._until)
+        else:
+            self.next_wake = listen
 
     def _enter_bcast(self, slot):
         """Start a retry or farewell pass (see the module docstring) from a
@@ -461,6 +477,11 @@ class TopoNode:
         self._until = self.next_wake = slot + self.cycle + 1
         while self.rng.random() >= 0.5:
             self._until += self.cycle
+        if self._until > self.next_wake:
+            # a listen cycle first: park at the new offset from this slot,
+            # with the transmit slot as its deadline
+            self.listen_offset = self.next_wake % self.cycle
+            self.next_wake = self._until
 
     def _finish_pass(self, slot):
         # a neighbor acks at most once per hop we lead with (hops never
@@ -479,7 +500,7 @@ class TopoNode:
             # activity in the window voids it (see _heard_activity)
             self.state = "verify"
             self._until = slot + (self.t + 1) * self.cycle
-            self.next_wake = slot + self.cycle + 1
+            self._listen(slot + 1, self._until)
             return
         if not new and self._quiet_streak >= QUIET_PASSES:
             # ackers have dried up: cooldown, then prove it with farewells
@@ -491,7 +512,7 @@ class TopoNode:
     def _enter_cooldown(self, slot):
         self.state = "cooldown"
         self._until = self._quiet_end(slot)
-        self.next_wake = slot + 1 + self.cycle
+        self._listen(slot + 1, self._until)
 
     def _quiet_end(self, slot):
         """End of a fresh quiet requirement: t+1 to 2t+2 random cycles."""

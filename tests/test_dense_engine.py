@@ -30,7 +30,8 @@ class DenseEngine:
     """The engine contract, slot by slot: in each slot the awake nodes are
     those whose `next_wake` is the slot, and the listeners are the sink,
     the awake nodes and every node whose `listen_offset` is the slot's
-    offset, in id order."""
+    offset and that was last finished at least a cycle ago, in id
+    order."""
 
     def __init__(self, scenario, behaviors, sink, trace=None):
         self.nodes = dict(sorted({**behaviors, SINK: sink}.items()))
@@ -41,6 +42,7 @@ class DenseEngine:
         self.jitter = {nid: derive_rng_stream(scenario.seed, nid, "jitter")
                        for nid in self.nodes}
         self.slot = 0  # the next slot to visit
+        self.finished = {}  # node id -> the last slot it was finished in
         self.ran = 0  # the last slot in which a node ran
 
     def scheduled(self):
@@ -73,8 +75,10 @@ class DenseEngine:
                 sent.append((frame, self.jitter[nid].randrange(MICRO_SLOTS)))
                 if trace:
                     trace.add(slot, nid, "tx", frame=type(frame).__name__)
+        charged = slot - self.cycle
         parked = [n for n, b in nodes.items()
-                  if b.listen_offset == slot % self.cycle and n not in awake]
+                  if b.listen_offset == slot % self.cycle and n not in awake
+                  and self.finished.get(n, charged) <= charged]
         heard = set()
         if sent:
             res.frames_sent += len(sent)
@@ -105,6 +109,7 @@ class DenseEngine:
                 sent = replies
         for nid in awake + [n for n in parked if n in heard]:
             nodes[nid].finish(slot)
+            self.finished[nid] = slot
 
 
 def exported(result, out_dir):

@@ -3,8 +3,9 @@ end of a run when no node is scheduled, deaths as timed drops,
 reschedules into the past,
 the unscheduled listening sink, the jitter draw, half duplex per phase,
 collisions reaching `on_data` and `on_ack`, one wake bucket per slot,
-nodes parked at their offset, forwarding receivers among them, and no
-reference cycle through a finished engine."""
+nodes parked at their offset, forwarding receivers among them, the
+charge rule for a node parked at a new offset, and no reference cycle
+through a finished engine."""
 
 import dataclasses
 import gc
@@ -309,6 +310,37 @@ def test_wake_bucket_runs_each_node_once_in_id_order():
     assert behaviors[4].heard == [(12, HOP)]
     assert behaviors[4].finished == [12]
     assert all(behaviors[nid].polled == [12] for nid in (1, 2, 3, 4))
+
+
+class Mover(Beacon):
+    """Wakes once at `first`, then parks at `offset` without a deadline."""
+
+    def __init__(self, first, offset):
+        super().__init__(first, None)
+        self.offset = offset
+        self.finished = []
+
+    def finish(self, slot):
+        self.finished.append(slot)
+        self.next_wake, self.listen_offset = None, self.offset
+
+
+def test_a_node_parked_at_a_new_offset_listens_from_a_cycle_later():
+    # the charge rule: nodes 2 and 3 finish in slots 1 and 2 and park at
+    # offset 3, so they charge through slot 3, the one slot at offset 3
+    # inside their cycle, and hear node 1 from slot 9 on; node 4 parks at
+    # its own offset 2 in slot 2 and hears from slot 8, a cycle later
+    sc = line_field((1, 5.0), (2, 6.0), (3, 7.0), (4, 8.0))
+    movers = {2: Mover(1, 3), 3: Mover(2, 3), 4: Mover(2, 2)}
+    engine = Engine(sc, {1: Burst([3, 8, 9]), **movers},
+                    ForwardSink(Countdown()))
+    engine.run(20)
+    assert movers[2].heard == movers[3].heard == [(9, HOP)]
+    assert movers[2].finished == [1, 9] and movers[3].finished == [2, 9]
+    assert movers[4].heard == [(8, HOP)] and movers[4].finished == [2, 8]
+    assert all(m.polled == [m.finished[0]] for m in movers.values())
+    # one (slot, ids) entry for offset 3; none for a park at its own offset
+    assert engine._charging == [None, None, None, (3, {2, 3}), None, None]
 
 
 def test_untouched_parked_node_is_neither_polled_nor_finished():

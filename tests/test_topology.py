@@ -8,8 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from icroute.core import (ChargingSpec, DiskGrid, HopFrame, NO_HOP, NodePlacement,
                           SINK, Scenario)
+from icroute.engine import park_deadline
 from icroute.radio import COLLISION, EventTrace, derive_rng_stream
 from icroute.topology import (
+    QUIET_PASSES,
     TopoNode,
     TopoSink,
     bfs_hops,
@@ -371,25 +373,51 @@ def test_retry_pass_parks_through_its_coin_runs(t, seed, offset):
     node._enter_bcast(offset)
     sent = []
     for i, (slot, tx) in enumerate(working):
-        first_here = i == 0 or working[i - 1][1]
-        if first_here or tx:
-            # a wake: the first slot at a new offset, or a transmit slot,
-            # which ends a parked run as its deadline
+        if tx:
+            # every wake transmits
             assert node.next_wake == slot
-            frame = node.poll(slot)
-            if frame is not None:
-                sent.append(slot)
+            assert node.poll(slot) is not None
+            sent.append(slot)
         else:
             # parked at this offset until the next transmit slot; the
             # node listens here only if it hears something
             assert node.listen_offset == slot % c
             assert node.next_wake == min(s for s in want if s > slot)
+            assert node.poll(slot) is None
             assert node.on_data(slot, COLLISION) is None
         node.finish(slot)
-        if not tx:
-            assert node.listen_offset == slot % c
+        if i + 1 < len(working) and not working[i + 1][1]:
+            # a listen cycle next: parked at the next working slot's
+            # offset from this slot, with the next transmit slot as its
+            # deadline
+            assert node.listen_offset == working[i + 1][0] % c
             assert node.next_wake == min(s for s in want if s > slot)
     assert sent == want and len(sent) == t + 1
+
+
+@pytest.mark.parametrize("t", [1, 5, 12])
+@pytest.mark.parametrize("state,streak,want", [
+    pytest.param("bcast", QUIET_PASSES - 1, "cooldown", id="bcast-cooldown"),
+    pytest.param("bcast", QUIET_PASSES, "verify", id="bcast-verify"),
+    pytest.param("verify", QUIET_PASSES + 1, "cooldown", id="verify-cooldown"),
+])
+def test_cooldown_and_verify_park_from_their_entry_slot(t, state, streak, want):
+    # a node that ends a quiet pass (in its last transmit slot) or a clean
+    # verify window enters a listen-only state: it parks at once at the
+    # next slot's offset, with the end of its window as its deadline, and
+    # the engine has it listen there from a cycle later
+    c = t + 1
+    sc = line_scenario(1, t=t, offsets=[0])
+    node = TopoNode(0, 0, sc.spec, sc.seed)
+    node.hop, node.next_hop, node._anchor = 1, SINK, 0
+    slot = 7 * c + 3
+    node.state, node._round, node._quiet_streak = state, t, streak
+    node._until = node.next_wake = slot
+    node.finish(slot)
+    assert node.state == want
+    assert node.listen_offset == (slot + 1) % c
+    assert node.next_wake == park_deadline(slot + 1, node._until, c)
+    assert node.next_wake >= node._until > slot + c + 1
 
 
 def test_hop_frames_and_acks_field_by_field():

@@ -7,7 +7,10 @@ under every strategy.  Each recorded move must be in the table here,
 and each move in the table must show up somewhere in the sweep, so a
 table entry that stops being used is noticed too.  A `ForwardNode`
 must also enter the sender role only while unlocked: the batch lock
-alone decides when a receiver leaves.
+alone decides when a receiver leaves.  A `TopoNode` in `bcast`,
+`cooldown` or `verify` must never be polled before its `_until`: it
+parks through its listen-only stretches and wakes only to transmit or
+to move on.
 """
 
 import random
@@ -40,6 +43,8 @@ FORWARD_MOVES = {
     ("scan", "recv"),
     ("send", "recv"),
 }
+# TopoNode states that start by listening at a new offset
+LISTEN_FIRST = ("bcast", "cooldown", "verify")
 CACHING = {"rics", "otps"}  # a cached match lets a receiver resume sending
 CACHED_MOVES = {("recv", "send")}
 
@@ -95,6 +100,17 @@ def moves(monkeypatch):
         return enter_sender(node, slot)
 
     monkeypatch.setattr(ForwardNode, "_enter_sender", unlocked_enter_sender)
+
+    topo_poll = TopoNode.poll
+
+    def transmit_only_poll(node, slot):
+        # a listen-only stretch is parked through: a retry pass is polled
+        # at its transmit slot, cooldown and verify at their deadline
+        assert node.state not in LISTEN_FIRST or slot >= node._until, (
+            node.id, slot, node.state, node._until)
+        return topo_poll(node, slot)
+
+    monkeypatch.setattr(TopoNode, "poll", transmit_only_poll)
     return seen, phase
 
 
