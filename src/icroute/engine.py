@@ -12,7 +12,12 @@ list per slot: the sink, then every scheduled node and every node parked
 at the slot's offset, in node-id order.  Transmitters stay on that list;
 half duplex is `resolve_slot`'s rule that a node decodes nothing in a
 phase it sent in, so a data transmitter can still hear the ack phase of
-the same slot.
+the same slot.  The list may be long, since every node parked at the
+offset is on it, but a listener that no transmitter reaches costs
+`resolve_slot` one set test, and the engine looks for parked listeners
+to finish only when the data phase decoded something (or collided):
+an ack phase follows only a data decode, so a slot whose data phase
+nobody heard touched nobody.
 
 Node behaviors are plain objects with:
     next_wake          absolute slot of the next working slot, or None
@@ -313,9 +318,11 @@ class Engine:
                     trace.add(slot, nid, "rxa", frame=type(got).__name__, src=got.src)
                 behaviors[nid].on_ack(slot, got)
 
-        if parked:
+        if parked and decode_a:
             # a parked listener that decoded a frame or heard a collision is
-            # finished in this slot too, in id order (SINK is never parked)
+            # finished in this slot too, in id order (SINK is never parked);
+            # an ack phase follows only a data decode, so a slot whose data
+            # phase decoded nothing touched nobody
             heard = decode_a.keys() | decode_b.keys()
             touched = sorted((heard & parked).difference(awake))
             if touched:

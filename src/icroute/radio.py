@@ -30,13 +30,17 @@ def resolve_slot(transmissions, listeners, neighbors):
     decoded or to COLLISION; a listener missing from it heard nothing.
     This is the one half-duplex rule: transmitters may be listed too, and
     a node that transmitted in this phase hears nothing in it.
+
+    A listener that no transmitter reaches costs one set test, its
+    neighbor set against the transmitters, before any frame is looked at;
+    only the reached listeners run the per-frame arbitration.
     """
     tx_ids = {f.src for f, _ in transmissions}
     out = {}
     for lid in listeners:
-        if lid in tx_ids:
-            continue
         near = neighbors[lid]
+        if lid in tx_ids or near.isdisjoint(tx_ids):
+            continue
         best = None
         best_jitter = None
         tied = False

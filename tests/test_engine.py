@@ -3,9 +3,9 @@ end of a run when no node is scheduled, deaths as timed drops,
 reschedules into the past,
 the unscheduled listening sink, the jitter draw, half duplex per phase,
 collisions reaching `on_data` and `on_ack`, one wake bucket per slot,
-nodes parked at their offset, forwarding receivers among them, the
-charge rule for a node parked at a new offset, and no reference cycle
-through a finished engine."""
+nodes parked at their offset, forwarding receivers among them, a
+parked node touched by an ack alone, the charge rule for a node parked
+at a new offset, and no reference cycle through a finished engine."""
 
 import dataclasses
 import gc
@@ -358,6 +358,30 @@ def test_touched_parked_node_is_finished_in_that_slot():
     assert [slot for slot, _ in listener.heard] == [9, 15, 21]
     assert listener.finished == [9, 15, 21]
     assert listener.polled == []
+
+
+def test_parked_node_reached_only_by_an_ack_is_finished():
+    # node 1 sends at slot 9 and only node 2 hears it; node 2's ack
+    # reaches the parked node 3, 8m from node 2 and 15m from node 1, which
+    # decoded nothing in the data phase and is finished in the slot all
+    # the same
+    class ParkedEar(Parked):
+        def __init__(self, offset):
+            super().__init__(offset)
+            self.acks = []
+
+        def on_ack(self, slot, frame):
+            self.acks.append((slot, frame))
+
+    responder = Echo(2, 9, 100)
+    listener = ParkedEar(offset=3)
+    sc = line_field((1, 5.0), (2, 12.0), (3, 20.0))
+    Engine(sc, {1: Burst([9]), 2: responder, 3: listener},
+           ForwardSink(Countdown())).run(20)
+    assert responder.heard == [(9, HOP)]
+    assert listener.heard == []
+    assert listener.acks == [(9, AckFrame(src=2, ack_dst=1))]
+    assert listener.finished == [9] and listener.polled == []
 
 
 def test_deadline_is_the_first_slot_at_the_offset_not_before_until():

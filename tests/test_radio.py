@@ -88,6 +88,19 @@ def test_out_of_range_transmitters_do_not_jam():
     assert out[SINK].src == 1
 
 
+def test_unreached_listeners_are_skipped_in_listener_order():
+    # nodes 0-7 on a line 5m apart, range 5m: each reaches only the nodes
+    # next to it, and the sink is out of everyone's range.  Nodes 1 and 5
+    # transmit; 5 is listed, 1 is not.  Listeners 3 and 7 are reached by
+    # no transmitter, and node 0's one neighbor is the unlisted node 1.
+    pos = {SINK: (0.0, 50.0), **{nid: (5.0 * nid, 0.0) for nid in range(8)}}
+    txs = [(frame(5), 4), (frame(1), 2)]
+    listeners = [7, 6, 3, 0, 5, SINK, 4, 2]
+    out = resolve_slot(txs, listeners, scenario(pos, 5.0).neighbors())
+    assert list(out.items()) == [(6, txs[0][0]), (0, txs[1][0]),
+                                 (4, txs[0][0]), (2, txs[1][0])]
+
+
 def test_resolution_is_permutation_invariant():
     txs = [(frame(0), 2), (frame(1), 5), (frame(2), 5)]
     near = graph(50.0)
@@ -126,9 +139,10 @@ ranges = st.integers(1, 30).map(float) | st.floats(1.0, 30.0)
 def test_graph_arbitration_matches_distance_reference(points, data):
     pos = {SINK: points[0], **dict(enumerate(points[1:]))}
     ids = sorted(pos)
-    # a range taken from the sink's distances puts a pair on the boundary
+    # a range taken from the sink's distances puts a pair on the boundary;
+    # a node on top of the sink gives distance 0, which is no range
     range_m = data.draw(ranges | st.sampled_from(
-        [math.dist(points[0], p) for p in points[1:]]))
+        [math.dist(points[0], p) for p in points[1:]]).filter(lambda r: r > 0))
     senders = data.draw(st.lists(st.sampled_from(ids), min_size=1, unique=True))
     txs = [(frame(nid), data.draw(st.integers(0, MICRO_SLOTS - 1)))
            for nid in senders]
