@@ -9,6 +9,15 @@ cached match `offset_cache` is that swing within a cycle, so later
 batches jump straight to it.  A full cycle of misses, or an empty
 queue, swings the node back to its base offset.
 
+A missed frame puts its message back at the tail of the queue, and the
+message keeps the `DataFrame` it went out in.  A retry sends that frame
+again unless its addressing moved: another sender (`src`), another
+target (`dst`, as when a scan's ack turns it into a matched session or
+a realigning strategy rescans), or another place in the batch
+(`is_start` once the batch has an ack and again when a new batch opens,
+`is_end` when the message becomes, or stops being, the last one
+queued).  Then `poll` builds a new frame and the message keeps that.
+
 Receivers lock onto a sender for the duration of a marked batch, which
 keeps two candidate relays from both adopting the same traffic: the
 loser notices the sender naming the other node and quietly discards its
@@ -145,6 +154,19 @@ class ForwardSink:
 class ForwardNode:
     """Sender/receiver state machine for one duty-cycled node."""
 
+    # slotted: `poll`, `finish` and `_finish_sender` read and write about
+    # a dozen of these on every wake
+    __slots__ = (
+        "id", "base", "spec", "cycle", "policy", "hop", "rounds", "state",
+        "next_wake", "listen_offset",
+        "queue", "next_hop", "offset_forth", "scan_target", "_batch_acked",
+        "_in_flight", "_got_ack", "_flew_end", "_misses", "_hold_until",
+        "id_match", "time_wait", "seen",
+        "generated",
+        "scan_attempt_slots", "match_slots", "dropped_full", "stale_breaks",
+        "forced_exits", "failures", "exhausted",
+    )
+
     def __init__(self, placement, spec, policy, hop, rounds):
         self.id = placement.node_id
         self.base = placement.offset
@@ -195,20 +217,35 @@ class ForwardNode:
     # -- sender machinery ----------------------------------------------
 
     def poll(self, slot):
+        """Send the head of the queue, or nothing outside a sender state.
+
+        The frame is the one the message last went out in while its
+        `src`, `dst`, `is_start` and `is_end` are still what this send
+        carries (its other fields are the message's own and this node's
+        hop, which never change); otherwise a new one, which the message
+        keeps.
+        """
         state = self.state
         if state not in ("scan", "send") or not self.queue:
             return None
         if state == "scan":
             self.offset_forth += 1
             self.scan_attempt_slots.append(slot)
+            dst = self.scan_target
+        else:
+            dst = self.next_hop
         msg = self.queue.popleft()
         self._in_flight = msg
         self._got_ack = False
-        self._flew_end = not self.queue
-        return DataFrame(
-            self.id, self.next_hop if state == "send" else self.scan_target,
-            self.hop, msg.origin, msg.seq, msg.created_at,
-            not self._batch_acked, self._flew_end, msg.path)
+        self._flew_end = is_end = not self.queue
+        is_start = not self._batch_acked
+        frame = msg.frame
+        if (frame is None or frame.src != self.id or frame.dst != dst
+                or frame.is_start != is_start or frame.is_end != is_end):
+            frame = msg.frame = DataFrame(
+                self.id, dst, self.hop, msg.origin, msg.seq, msg.created_at,
+                is_start, is_end, msg.path)
+        return frame
 
     def on_ack(self, slot, frame):
         if not isinstance(frame, AckFrame) or frame.ack_dst != self.id:

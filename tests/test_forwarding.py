@@ -2,13 +2,19 @@
 driven slot by slot against hand-computed traces, receiver locking, and
 end-to-end runs on small lines."""
 
+from collections import Counter
 from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from icroute import forwarding
-from icroute.baselines import FixedHopPolicy
+from icroute.baselines import (
+    STRATEGIES,
+    FixedHopPolicy,
+    RandomHopPolicy,
+    build_policies,
+)
 from icroute.core import (
     SINK,
     AckFrame,
@@ -20,6 +26,7 @@ from icroute.core import (
     delay_offset,
 )
 from icroute.engine import Countdown
+from icroute.experiments import ExperimentConfig, generate_scenario
 from icroute.sync import alignment_cycles
 from icroute.forwarding import (
     CachedPolicy,
@@ -329,6 +336,191 @@ def test_sink_delivery_and_ack_field_by_field():
         "origin": 8, "seq": 4, "created_at": 40, "delivered_at": 50,
         "hops": 2, "path": (8, 7)}
     assert pending.value == 0
+
+
+# -- a retried frame is sent again while its addressing holds ---------------
+# A queued message keeps the frame it last went out in; `poll` sends it
+# again only when src, dst, is_start and is_end are what a fresh build
+# would carry.  Each case below moves exactly the field it names, where
+# the protocol allows that, so dropping any one comparison fails one.
+
+
+def step(node, ack=None):
+    """Poll the node at its next wake, ack from `ack` if given, finish."""
+    slot = node.next_wake
+    frame = node.poll(slot)
+    if frame is not None and ack is not None:
+        node.on_ack(slot, AckFrame(src=ack, ack_dst=node.id))
+    node.finish(slot)
+    return frame
+
+
+def queued(node, count):
+    msgs = [Message(origin=node.id, seq=seq, created_at=0, path=(node.id,))
+            for seq in range(count)]
+    node.queue.extend(msgs)
+    return msgs
+
+
+def addressing(frame):
+    return frame.src, frame.dst, frame.is_start, frame.is_end
+
+
+def test_scan_to_send_rebuilds_a_retried_frame_for_its_new_target():
+    node = make_node()
+    m0, _, _ = queued(node, 3)
+    node.finish(2)
+    missed = step(node)  # m0 goes out to whoever answers, unacked
+    assert addressing(missed) == (1, None, True, False)
+    step(node, ack=55)  # m1: the ack matches 55, and the batch is open
+    assert node.state == "send"
+    first_try = step(node)  # m2, unacked
+    again = step(node)  # m0 again, now to 55 and mid-batch
+    assert again is not missed and m0.frame is again
+    assert asdict(again) == {
+        "src": 1, "dst": 55, "src_hop": 2, "origin": 1, "seq": 0,
+        "created_at": 0, "is_start": False, "is_end": False, "path": (1,)}
+    # unmoved addressing: m2's retry is the very frame it first went in
+    assert step(node) is first_try
+
+
+def test_last_queued_message_rebuilds_for_is_end():
+    # a realigning node with a fixed target rescans after each ack and
+    # opens a new batch, so only the queue's length moves between tries
+    placement = NodePlacement(node_id=1, x=0.0, y=0.0, offset=2)
+    node = ForwardNode(placement, make_spec(5), FixedHopPolicy(PEER),
+                       hop=2, rounds=0)
+    m0, _ = queued(node, 2)
+    node.finish(2)
+    missed = step(node)
+    assert addressing(missed) == (1, PEER, True, False)
+    step(node, ack=PEER)  # m1 acked: rescan with m0 alone queued
+    last = step(node)
+    assert last is not missed and m0.frame is last
+    assert addressing(last) == (1, PEER, True, True)
+
+
+def test_a_reading_made_behind_a_lone_message_rebuilds_for_is_end():
+    # offset 2, t=5: reading 0 at slot 2 and reading 1 at slot 8, which
+    # `finish` at the first attempt (slot 9) queues behind reading 0
+    node = make_node(rounds=2)
+    node.finish(2)
+    alone = step(node)
+    assert addressing(alone) == (1, None, True, True)
+    reading0 = node.queue[-1]
+    step(node)  # reading 1, unacked
+    behind = step(node)
+    assert behind is not alone and reading0.frame is behind
+    assert addressing(behind) == (1, None, True, False)
+
+
+def test_first_ack_of_a_batch_rebuilds_for_is_start():
+    node = make_node()
+    queued(node, 1)
+    node.finish(2)
+    step(node, ack=55)  # the lone message closes its batch, acked
+    # a new batch after an acked closing frame opens with is_start
+    m0, _, _ = queued(node, 3)
+    opening = step(node)  # m0, unacked
+    assert addressing(opening) == (1, 55, True, False)
+    step(node, ack=55)  # m1: the batch is now acked
+    step(node)  # m2, unacked
+    again = step(node)
+    assert again is not opening and m0.frame is again
+    assert addressing(again) == (1, 55, False, False)
+
+
+class TakeTurns:
+    """Stand-in rng for `RandomHopPolicy`: draws the candidates in turn."""
+
+    def __init__(self):
+        self.draws = 0
+
+    def choice(self, candidates):
+        self.draws += 1
+        return candidates[(self.draws - 1) % len(candidates)]
+
+
+def test_realigning_rescan_rebuilds_for_its_new_target():
+    placement = NodePlacement(node_id=1, x=0.0, y=0.0, offset=2)
+    node = ForwardNode(placement, make_spec(5),
+                       RandomHopPolicy([5, 6], TakeTurns()), hop=2, rounds=0)
+    m0, _, _ = queued(node, 3)
+    node.finish(2)
+    missed = step(node)
+    assert addressing(missed) == (1, 5, True, False)
+    step(node, ack=5)  # m1 acked: rescan, drawing 6
+    step(node)  # m2, unacked
+    again = step(node)
+    assert again is not missed and m0.frame is again
+    assert addressing(again) == (1, 6, True, False)
+
+
+def test_a_message_held_at_two_nodes_goes_out_under_each_holder():
+    spec = make_spec(5)
+    shared = Message(origin=9, seq=0, created_at=0, path=(9,))
+    nodes = [ForwardNode(NodePlacement(node_id=nid, x=0.0, y=0.0, offset=2),
+                         spec, CachedPolicy(), hop=hop, rounds=0)
+             for nid, hop in ((1, 2), (4, 3))]
+    for node in nodes:
+        node.queue.append(shared)
+        node.finish(2)
+    frames = [step(node) for node in nodes] + [step(nodes[0])]
+    assert [(f.src, f.src_hop) for f in frames] == [(1, 2), (4, 3), (1, 2)]
+    assert len({id(f) for f in frames}) == 3
+
+
+def fresh_frame(node):
+    """A fresh build of the frame the node sends now: the head of its
+    queue, addressed from the node's state."""
+    msg = node.queue[0]
+    dst = node.next_hop if node.state == "send" else node.scan_target
+    return DataFrame(node.id, dst, node.hop, msg.origin, msg.seq,
+                     msg.created_at, not node._batch_acked,
+                     len(node.queue) == 1, msg.path)
+
+
+# the golden grid's points up to t=50, its 10-round busy point included
+KEPT_FRAME_GRID = [("square", 50, 5, 1), ("rectangle", 50, 5, 1),
+                   ("square", 50, 50, 1), ("rectangle", 50, 50, 1),
+                   ("square", 100, 5, 1), ("rectangle", 100, 5, 1),
+                   ("square", 100, 5, 10)]
+
+
+def test_every_sent_frame_matches_a_fresh_build(monkeypatch):
+    poll = ForwardNode.poll
+    tally = Counter()
+    strategy = [None]
+
+    def checked(node, slot):
+        sending = node.state in ("scan", "send") and bool(node.queue)
+        if sending:
+            want, kept = fresh_frame(node), node.queue[0].frame
+        frame = poll(node, slot)
+        if sending:
+            # a dataclass's == compares the fields as asdict lists them
+            assert frame == want, (strategy[0], slot, asdict(frame), asdict(want))
+            tally[strategy[0], "sent"] += 1
+            if kept is not None:
+                tally[strategy[0], "resent" if frame is kept else "rebuilt"] += 1
+        else:
+            assert frame is None
+        return frame
+
+    monkeypatch.setattr(ForwardNode, "poll", checked)
+    for shape, n, t, rounds in KEPT_FRAME_GRID:
+        scenario = generate_scenario(ExperimentConfig(
+            shape=shape, n_nodes=n, t=t, seed=11))
+        topo = build_topology(scenario)
+        for strategy[0] in STRATEGIES:
+            run_forwarding(scenario, topo.hops, rounds=rounds,
+                           policies=build_policies(strategy[0], scenario, topo))
+    for name in STRATEGIES:
+        # both branches run under every strategy
+        assert tally[name, "resent"] > 0 and tally[name, "rebuilt"] > 0, name
+    # most sends repeat a frame
+    assert sum(tally[name, "resent"] for name in STRATEGIES) * 2 > sum(
+        tally[name, "sent"] for name in STRATEGIES)
 
 
 # -- receiver rules --------------------------------------------------------
