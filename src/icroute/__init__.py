@@ -7,12 +7,10 @@ from .core import (
     NodePlacement,
     Scenario,
     delay_offset,
-    is_working,
 )
 from .experiments import (
     ExperimentConfig,
     ExperimentResult,
-    compute_cdf,
     generate_scenario,
     run_experiment,
 )
@@ -30,11 +28,9 @@ __all__ = [
     "Scenario",
     "build_topology",
     "closed_form_latency",
-    "compute_cdf",
     "delay_offset",
     "expected_scan_latency",
     "generate_scenario",
-    "is_working",
     "run_experiment",
     "run_forwarding",
     "verify_least_hop",

@@ -1,5 +1,5 @@
-"""Command line front end: run experiments, sweep seeds, or benchmark
-the working-slot alignment on its own."""
+"""Command line front end: run one experiment, or sweep consecutive
+seeds, and export each run."""
 
 from __future__ import annotations
 
@@ -10,10 +10,7 @@ import sys
 import tempfile
 
 from .baselines import STRATEGIES
-from .core import ChargingSpec
 from .experiments import SHAPES, ExperimentConfig, SparseAreaError, run_experiment
-from .radio import derive_rng_stream
-from .sync import expected_scan_latency, find_best_p, sample_latencies
 
 _CONFIG = ExperimentConfig()  # the one source of the run defaults
 DEFAULTS = {
@@ -27,11 +24,7 @@ DEFAULTS = {
     "slot_ms": _CONFIG.slot_ms,
     "repeat": 1,
     "trace": False,
-    "sync_bench": False,
 }
-
-SYNC_BENCH_TRIALS = 10_000
-SYNC_BENCH_BASELINE_TRIALS = 500
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -57,9 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="also write trace.ndjson per run")
     parser.add_argument("--repeat", type=int, metavar="K",
                         help="run K seeds starting at --seed")
-    parser.add_argument("--sync-bench", action="store_true", default=None,
-                        dest="sync_bench",
-                        help="benchmark alignment latency only, no network run")
     return parser
 
 
@@ -87,24 +77,6 @@ def load_settings(args: argparse.Namespace) -> dict:
     return settings
 
 
-def sync_bench(t: int, seed: int) -> str:
-    spec = ChargingSpec(charge_slots=t)
-    rng = derive_rng_stream(seed, 0, "sync-bench")
-    measured = sample_latencies(spec, SYNC_BENCH_TRIALS, rng)
-    mean = sum(measured) / len(measured)
-    line = (f"t={t}: scan mean {mean:.1f} slots over {SYNC_BENCH_TRIALS} pairs "
-            f"(analytic {expected_scan_latency(spec):.1f})")
-    try:
-        p, base_mean, base_var = find_best_p(
-            spec, SYNC_BENCH_BASELINE_TRIALS,
-            derive_rng_stream(seed, 1, "sync-bench"))
-        line += (f"; best random-delay baseline p={p:.1f} "
-                 f"mean {base_mean:.1f} var {base_var:.1f}")
-    except RuntimeError:
-        line += "; random-delay baseline never aligned"
-    return line
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -113,14 +85,6 @@ def main(argv=None) -> int:
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"icroute: {exc}", file=sys.stderr)
         return 2
-
-    if settings["sync_bench"]:
-        try:
-            print(sync_bench(settings["t"], settings["seed"]))
-        except ValueError as exc:
-            print(f"icroute: {exc}", file=sys.stderr)
-            return 1
-        return 0
 
     try:
         # an unusable --out fails here, not after the first simulation

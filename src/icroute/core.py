@@ -49,13 +49,6 @@ class ChargingSpec:
         return self.charge_slots + 1
 
 
-def is_working(offset: int, spec: ChargingSpec, now: int) -> bool:
-    """True when a node with the given offset is awake in slot `now`."""
-    if not 0 <= offset <= spec.charge_slots:
-        raise ValueError("offset outside [0, charge_slots]")
-    return now % spec.cycle == offset
-
-
 def delay_offset(offset: int, spec: ChargingSpec, slots: int = 1) -> int:
     """Working offset after postponing the working slot by `slots` slots.
 
@@ -103,9 +96,6 @@ class AckFrame:
 
     src: int
     ack_dst: int
-
-
-Frame = HopFrame | DataFrame | AckFrame
 
 
 class _Outgoing:

@@ -106,32 +106,6 @@ def generate_scenario(config: ExperimentConfig) -> Scenario:
         f"area={width:g}x{height:g}m, mean degree={degree:.2f})")
 
 
-def compute_cdf(delivery_times: list, created: int | None = None) -> list:
-    """Empirical CDF as (latency, cumulative fraction) steps.
-
-    `created` sets the denominator, so undelivered messages show up as
-    the curve plateauing below 1.  An empty input yields an empty CDF.
-    """
-    if created is None:
-        created = len(delivery_times)
-    if not delivery_times:
-        return []
-    if created < len(delivery_times):
-        raise ValueError("created count below delivered count")
-    steps = []
-    seen = 0
-    last = None
-    for value in sorted(delivery_times):
-        if value == last:
-            seen += 1
-            steps[-1] = (value, seen / created)
-        else:
-            seen += 1
-            steps.append((value, seen / created))
-            last = value
-    return steps
-
-
 def quantile(values: list, q: float) -> float:
     if not values:
         raise ValueError("no values to take a quantile of")

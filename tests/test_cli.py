@@ -41,11 +41,24 @@ def test_explicit_flag_beats_config_file(tmp_path):
     assert settings["seed"] == 9
 
 
-def test_unknown_config_key_raises(tmp_path):
+# sync_bench was a config key once; an old file naming it is refused,
+# not silently run as a network experiment
+@pytest.mark.parametrize("loaded", [{"speed": 11}, {"sync_bench": True}],
+                         ids=repr)
+def test_unknown_config_key_raises(tmp_path, loaded):
     cfg = tmp_path / "exp.json"
-    cfg.write_text(json.dumps({"speed": 11}))
-    with pytest.raises(ValueError, match="speed"):
+    cfg.write_text(json.dumps(loaded))
+    with pytest.raises(ValueError, match=next(iter(loaded))):
         load_settings(parse("--config", str(cfg)))
+
+
+def test_removed_sync_bench_flag_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--sync-bench"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: icroute")
+    assert "unrecognized arguments: --sync-bench" in err
 
 
 def test_config_int_is_accepted_for_float_slot_ms(tmp_path):
@@ -82,13 +95,6 @@ def test_missing_config_file_exits_2(capsys):
     assert "icroute:" in capsys.readouterr().err
 
 
-def test_sync_bench_prints_measured_and_analytic(capsys):
-    rc = main(["--sync-bench", "--t", "5", "--seed", "3"])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "t=5" in out and "analytic" in out
-
-
 def test_full_run_writes_files_and_reports(tmp_path, capsys):
     rc = main(["--shape", "square", "--nodes", "50", "--t", "5",
                "--rounds", "1", "--seed", "11", "--out", str(tmp_path)])
@@ -112,14 +118,6 @@ def test_impossible_config_exits_1(tmp_path, capsys):
     rc = main(["--nodes", "0", "--t", "5", "--out", str(tmp_path)])
     assert rc == 1
     assert "icroute:" in capsys.readouterr().err
-
-
-def test_bad_sync_bench_t_exits_1(capsys):
-    rc = main(["--sync-bench", "--t", "0"])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("icroute:")
-    assert "Traceback" not in err
 
 
 def test_out_naming_a_file_exits_1(tmp_path, capsys, monkeypatch):

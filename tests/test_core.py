@@ -13,7 +13,6 @@ from icroute.core import (
     NodePlacement,
     Scenario,
     delay_offset,
-    is_working,
 )
 from icroute.forwarding import CachedPolicy, ForwardNode
 
@@ -29,28 +28,6 @@ def test_charge_slots_must_be_positive():
         ChargingSpec(0)
     with pytest.raises(ValueError):
         ChargingSpec(-3)
-
-
-def test_is_working_periodic():
-    spec = ChargingSpec(4)
-    # offset 2, cycle 5: working slots are 2, 7, 12, ...
-    hits = [s for s in range(20) if is_working(2, spec, s)]
-    assert hits == [2, 7, 12, 17]
-
-
-def test_is_working_every_offset_once_per_cycle():
-    spec = ChargingSpec(7)
-    for offset in range(8):
-        hits = [s for s in range(8) if is_working(offset, spec, s)]
-        assert hits == [offset]
-
-
-def test_is_working_rejects_bad_offset():
-    spec = ChargingSpec(4)
-    with pytest.raises(ValueError):
-        is_working(5, spec, 0)
-    with pytest.raises(ValueError):
-        is_working(-1, spec, 0)
 
 
 def test_delay_offset_wraps():

@@ -1,4 +1,4 @@
-"""Scenario generation, CDF math, and the export pipeline."""
+"""Scenario generation, quantile math, and the export pipeline."""
 
 import filecmp
 import json
@@ -18,7 +18,6 @@ from icroute.experiments import (
     SHAPES,
     ExperimentConfig,
     SparseAreaError,
-    compute_cdf,
     generate_scenario,
     quantile,
     run_experiment,
@@ -159,25 +158,6 @@ def test_workload_schedules_one_message_per_cycle():
         assert created_slot == offsets[nid] + 6 * seq
         # the node stamped the same slot when it sensed the message
         assert created.get((nid, seq), created_slot) == created_slot
-
-
-def test_cdf_hand_cases():
-    assert compute_cdf([3, 1, 2]) == [(1, 1 / 3), (2, 2 / 3), (3, 1.0)]
-    assert compute_cdf([7, 7, 7]) == [(7, 1.0)]
-    assert compute_cdf([]) == []
-    plateau = compute_cdf(list(range(90)), created=100)
-    assert plateau[-1][1] == 0.9
-    with pytest.raises(ValueError):
-        compute_cdf([1, 2], created=1)
-
-
-def test_cdf_is_monotone_and_right_continuous():
-    steps = compute_cdf([5, 1, 5, 2, 9, 2, 2])
-    values = [v for v, _ in steps]
-    fracs = [f for _, f in steps]
-    assert values == sorted(set(values))
-    assert fracs == sorted(fracs)
-    assert abs(fracs[-1] - 1.0) < 1e-12
 
 
 def test_quantile_picks_order_statistics():

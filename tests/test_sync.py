@@ -11,9 +11,6 @@ from icroute.sync import (
     alignment_cycles,
     closed_form_latency,
     expected_scan_latency,
-    find_best_p,
-    geometric_baseline_step,
-    geometric_latency,
     sample_latencies,
 )
 
@@ -152,51 +149,6 @@ def test_mean_latency_tracks_analytic():
     for t, expect in cases.items():
         spec = ChargingSpec(t)
         assert expected_scan_latency(spec) == expect
-        got = fmean(sample_latencies(spec, 10_000, random.Random(7)))
-        assert abs(got - expect) / expect < 0.02
-
-
-def test_geometric_step_validates_p():
-    spec = ChargingSpec(5)
-    rng = random.Random(0)
-    for bad in (0.0, 1.0, -0.5, 1.5):
-        with pytest.raises(ValueError):
-            geometric_baseline_step(2, bad, spec, rng)
-
-
-def test_geometric_latency_deterministic_per_seed():
-    spec = ChargingSpec(50)
-    a = geometric_latency(3, 40, 0.5, spec, random.Random(11))
-    b = geometric_latency(3, 40, 0.5, spec, random.Random(11))
-    assert a == b
-    assert a is not None and a % spec.cycle == 40
-
-
-def test_geometric_latency_immediate_when_aligned():
-    spec = ChargingSpec(50)
-    assert geometric_latency(17, 17, 0.5, spec, random.Random(0)) == 17
-
-
-def test_geometric_latency_can_miss():
-    spec = ChargingSpec(50)
-    assert geometric_latency(3, 40, 0.5, spec, random.Random(0), max_cycles=2) is None
-
-
-def test_geometric_spread_wider_than_scan():
-    # the deterministic scan needs at most t cycles; the coin-flip walk
-    # has no such bound and a visibly wider spread
-    from statistics import pvariance
-
-    spec = ChargingSpec(120)
-    det = sample_latencies(spec, 400, random.Random(3))
-    geo = sample_latencies(spec, 400, random.Random(3), p=0.5)
-    assert len(geo) >= 200
-    assert max(det) <= 120 * spec.cycle + 120
-    assert pvariance(geo) > pvariance(det)
-
-
-def test_find_best_p_returns_grid_point():
-    spec = ChargingSpec(50)
-    p, mean, var = find_best_p(spec, trials=200, rng=random.Random(5))
-    assert p in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
-    assert mean > 0 and var > 0
+        samples = sample_latencies(spec, 10_000, random.Random(7))
+        assert abs(fmean(samples) - expect) / expect < 0.02
+        assert max(samples) <= t * spec.cycle + t
