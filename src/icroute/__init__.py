@@ -3,7 +3,6 @@
 from .core import (
     SINK,
     ChargingSpec,
-    Message,
     NodePlacement,
     Scenario,
     delay_offset,
@@ -23,7 +22,6 @@ __all__ = [
     "ChargingSpec",
     "ExperimentConfig",
     "ExperimentResult",
-    "Message",
     "NodePlacement",
     "Scenario",
     "build_topology",

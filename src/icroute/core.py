@@ -7,13 +7,13 @@ slots and then works for exactly one slot, so its cycle length is
 is its working offset.  Offsets live on the global grid: a node with
 offset o is awake in every slot s with s % cycle == o.
 
-The wire records (`HopFrame`, `DataFrame`, `AckFrame`, `Message`) are
-slotted and built positionally on the per-slot path, because forwarding
-sends one frame per scan attempt and most of its time goes there.  A
-queued `Message` keeps the `DataFrame` it last went out in, so a retry
-that carries the same addressing sends that frame again instead of
-building a new one (see `ForwardNode.poll`).  A frame is therefore
-read-only once built: the radio and every receiver may see it again.
+The wire records (`HopFrame`, `DataFrame`, `AckFrame`) are slotted and
+built positionally on the per-slot path, because forwarding sends one
+frame per scan attempt and most of its time goes there.  A forwarding
+node's queue holds `DataFrame`s that the node built itself, and a retry
+sends the queued frame again while its addressing holds (see
+`ForwardNode.poll`).  A frame is therefore read-only once built: the
+radio and every receiver may see it again.
 
 Who hears whom is a unit disk graph with one in-range test,
 `math.dist(a, b) <= range_m`, in `DiskGrid.near`; `Scenario.neighbors()`
@@ -71,7 +71,8 @@ class HopFrame:
 
 @dataclass(slots=True)
 class DataFrame:
-    """One queued message on the air.
+    """One hop of a message: on the air, or queued at the node that
+    sends it next.
 
     `src` is the transmitter of this hop, `dst` the transmitter's current
     match target (None while it is still searching).  `origin` and `seq`
@@ -96,28 +97,6 @@ class AckFrame:
 
     src: int
     ack_dst: int
-
-
-class _Outgoing:
-    __slots__ = ("frame",)
-
-
-@dataclass(slots=True)
-class Message(_Outgoing):
-    """A queued unit of sensed data, keyed end to end by (origin, seq).
-
-    `frame` is the `DataFrame` the message last went out in (None until
-    it first does).  It is a slot of the base class, not a field, so
-    `asdict`, `==` and `repr` see only the message's own data.
-    """
-
-    origin: int
-    seq: int
-    created_at: int
-    path: tuple = ()
-
-    def __post_init__(self):
-        self.frame = None
 
 
 # A grid cell's side is a hair above the range, so that the rounding of

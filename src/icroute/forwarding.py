@@ -9,14 +9,15 @@ cached match `offset_cache` is that swing within a cycle, so later
 batches jump straight to it.  A full cycle of misses, or an empty
 queue, swings the node back to its base offset.
 
-A missed frame puts its message back at the tail of the queue, and the
-message keeps the `DataFrame` it went out in.  A retry sends that frame
-again unless its addressing moved: another sender (`src`), another
-target (`dst`, as when a scan's ack turns it into a matched session or
-a realigning strategy rescans), or another place in the batch
-(`is_start` once the batch has an ack and again when a new batch opens,
-`is_end` when the message becomes, or stops being, the last one
-queued).  Then `poll` builds a new frame and the message keeps that.
+A queue entry is a `DataFrame` built by the node that holds it: a
+reading or an accepted frame is queued addressed to nobody and outside
+any batch, and a missed frame goes back to the tail as it was sent.
+`poll` sends the head as it is unless its addressing moved: another target
+(`dst`, as when a scan's ack turns it into a matched session or a
+realigning strategy rescans), or another place in the batch (`is_start`
+once the batch has an ack and again when a new batch opens, `is_end`
+when the message becomes, or stops being, the last one queued).  Then
+it sends a new frame, which a miss puts back in its place.
 
 Receivers lock onto a sender for the duration of a marked batch, which
 keeps two candidate relays from both adopting the same traffic: the
@@ -53,7 +54,6 @@ from .core import (
     AckFrame,
     ChargingSpec,
     DataFrame,
-    Message,
     Scenario,
 )
 from .engine import Countdown, Engine, RunResult
@@ -160,7 +160,7 @@ class ForwardNode:
         "id", "base", "spec", "cycle", "policy", "hop", "rounds", "state",
         "next_wake", "listen_offset",
         "queue", "next_hop", "offset_forth", "scan_target", "_batch_acked",
-        "_in_flight", "_got_ack", "_flew_end", "_misses", "_hold_until",
+        "_in_flight", "_got_ack", "_misses", "_hold_until",
         "id_match", "time_wait", "seen",
         "generated",
         "scan_attempt_slots", "match_slots", "dropped_full", "stale_breaks",
@@ -186,7 +186,6 @@ class ForwardNode:
         self._batch_acked = False
         self._in_flight = None
         self._got_ack = False
-        self._flew_end = False
         self._misses = 0  # unacked frames since the last ack or sender entry
         self._hold_until = 0  # a failed sender contends again from this slot
         # receiver side
@@ -219,11 +218,10 @@ class ForwardNode:
     def poll(self, slot):
         """Send the head of the queue, or nothing outside a sender state.
 
-        The frame is the one the message last went out in while its
-        `src`, `dst`, `is_start` and `is_end` are still what this send
-        carries (its other fields are the message's own and this node's
-        hop, which never change); otherwise a new one, which the message
-        keeps.
+        The head is a frame this node built, so its `src`, `src_hop` and
+        message fields are final.  It goes out as it is while its `dst`,
+        `is_start` and `is_end` are what this send carries; otherwise a
+        new frame with the head's message fields goes out in its place.
         """
         state = self.state
         if state not in ("scan", "send") or not self.queue:
@@ -234,17 +232,16 @@ class ForwardNode:
             dst = self.scan_target
         else:
             dst = self.next_hop
-        msg = self.queue.popleft()
-        self._in_flight = msg
-        self._got_ack = False
-        self._flew_end = is_end = not self.queue
+        frame = self.queue.popleft()
+        is_end = not self.queue
         is_start = not self._batch_acked
-        frame = msg.frame
-        if (frame is None or frame.src != self.id or frame.dst != dst
-                or frame.is_start != is_start or frame.is_end != is_end):
-            frame = msg.frame = DataFrame(
-                self.id, dst, self.hop, msg.origin, msg.seq, msg.created_at,
-                is_start, is_end, msg.path)
+        if (frame.dst != dst or frame.is_start != is_start
+                or frame.is_end != is_end):
+            frame = DataFrame(
+                self.id, dst, self.hop, frame.origin, frame.seq,
+                frame.created_at, is_start, is_end, frame.path)
+        self._in_flight = frame
+        self._got_ack = False
         return frame
 
     def on_ack(self, slot, frame):
@@ -289,8 +286,9 @@ class ForwardNode:
         if len(self.queue) >= QUEUE_CAP:
             self.dropped_full += 1
             return None  # no ack: the sender must retry later
-        self.queue.append(Message(frame.origin, frame.seq, frame.created_at,
-                                  frame.path + (self.id,)))
+        self.queue.append(DataFrame(
+            self.id, None, self.hop, frame.origin, frame.seq,
+            frame.created_at, False, False, frame.path + (self.id,)))
         self.seen.add(key)
         self.time_wait = 0
         if frame.is_end:
@@ -308,7 +306,9 @@ class ForwardNode:
             due = message_slot(self.base, self.generated, self.spec)
             if due > slot or len(self.queue) >= QUEUE_CAP:
                 break
-            self.queue.append(Message(self.id, self.generated, due, (self.id,)))
+            self.queue.append(DataFrame(
+                self.id, None, self.hop, self.id, self.generated, due,
+                False, False, (self.id,)))
             self.generated += 1
 
     # -- per-slot wrap-up ----------------------------------------------
@@ -364,8 +364,8 @@ class ForwardNode:
     def _finish_sender(self, slot):
         """Wrap up one sender wake, scanning (`scan`) or matched (`send`);
         see the module docstring."""
-        msg, self._in_flight = self._in_flight, None
-        if msg is None:
+        frame, self._in_flight = self._in_flight, None
+        if frame is None:
             # queue empty, so the batch is done (a scan always has one)
             self.state = "recv"
             self.next_wake = self._wake_at_base(slot)
@@ -384,11 +384,11 @@ class ForwardNode:
             self.state = "send"
             # an acked closing frame ends the batch; anything generated
             # later in this session opens a new one so receivers re-lock
-            self._batch_acked = not self._flew_end
+            self._batch_acked = not frame.is_end
             self._misses = 0
             self.next_wake = slot + self.cycle
             return
-        self.queue.append(msg)
+        self.queue.append(frame)
         self._misses += 1
         if self._misses < self.cycle:
             # a scan tries one slot later each cycle; a match stays put

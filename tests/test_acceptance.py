@@ -18,7 +18,7 @@ from statistics import fmean, median
 from conftest import ACCEPTANCE_LINES
 
 from icroute.baselines import STRATEGIES, build_policies
-from icroute.core import AckFrame, ChargingSpec, Message, delay_offset
+from icroute.core import AckFrame, ChargingSpec, DataFrame, delay_offset
 from icroute.experiments import ExperimentConfig, generate_scenario, run_experiment
 from icroute.forwarding import (
     ForwardNode,
@@ -268,7 +268,8 @@ def _drive_batches(node, batches):
     flags = []
     for batch in batches:
         for seq in batch:
-            node.queue.append(Message(origin=node.id, seq=seq, created_at=0))
+            node.queue.append(DataFrame(node.id, None, node.hop, node.id,
+                                        seq, 0))
         deadline = node.next_wake + 200 * node.cycle
         while ((node.queue or node.state != "recv")
                and node.next_wake <= deadline):

@@ -6,7 +6,13 @@ import random
 
 import pytest
 
-from icroute.core import AckFrame, ChargingSpec, Message, NodePlacement, Scenario
+from icroute.core import (
+    AckFrame,
+    ChargingSpec,
+    DataFrame,
+    NodePlacement,
+    Scenario,
+)
 from icroute.baselines import (
     STRATEGIES,
     FixedHopPolicy,
@@ -78,7 +84,8 @@ def test_fixed_strategy_rescans_every_batch():
     def sessions(policy):
         node = ForwardNode(placement, spec, policy, hop=2, rounds=0)
         for batch in range(2):
-            node.queue.append(Message(origin=1, seq=batch, created_at=0))
+            node.queue.append(DataFrame(src=1, dst=None, src_hop=2, origin=1,
+                                        seq=batch, created_at=0))
             deadline = node.next_wake + 40 * 6
             while ((node.queue or node.state != "recv")
                    and node.next_wake <= deadline):

@@ -1,5 +1,3 @@
-from dataclasses import asdict
-
 import pytest
 
 from icroute.core import (
@@ -9,7 +7,6 @@ from icroute.core import (
     DataFrame,
     DiskGrid,
     HopFrame,
-    Message,
     NodePlacement,
     Scenario,
     delay_offset,
@@ -51,18 +48,11 @@ def test_delay_covers_all_offsets():
     assert seen == set(range(10))
 
 
-def test_message_fields_and_path():
-    m = Message(origin=7, seq=3, created_at=100)
-    assert (m.origin, m.seq, m.created_at, m.path) == (7, 3, 100, ())
-    m2 = Message(origin=7, seq=3, created_at=100, path=(7, 4))
-    assert m2.path == (7, 4)
-
-
 def test_wire_records_are_slotted():
     # one is sent per scan attempt; a record with a __dict__ costs
     # forwarding time on every one of them
     records = [HopFrame(1, 2, 3), DataFrame(1, None, 2, 1, 0, 0),
-               AckFrame(1, 2), Message(1, 0, 0)]
+               AckFrame(1, 2)]
     for record in records:
         assert not hasattr(record, "__dict__"), type(record).__name__
 
@@ -72,16 +62,6 @@ def test_forward_node_is_slotted():
     node = ForwardNode(NodePlacement(0, 0.0, 0.0, 1), ChargingSpec(5),
                        CachedPolicy(), hop=1, rounds=1)
     assert not hasattr(node, "__dict__")
-
-
-def test_a_kept_frame_stays_out_of_what_a_message_reports():
-    m = Message(7, 3, 100, (7,))
-    assert m.frame is None
-    m.frame = DataFrame(7, None, 1, 7, 3, 100, True, True, (7,))
-    assert asdict(m) == {"origin": 7, "seq": 3, "created_at": 100,
-                         "path": (7,)}
-    assert m == Message(7, 3, 100, (7,))
-    assert repr(m) == "Message(origin=7, seq=3, created_at=100, path=(7,))"
 
 
 def test_scenario_positions_include_sink():

@@ -20,7 +20,6 @@ from icroute.core import (
     AckFrame,
     ChargingSpec,
     DataFrame,
-    Message,
     NodePlacement,
     Scenario,
     delay_offset,
@@ -118,7 +117,8 @@ def two_message_sender():
     """A node at offset 2, t=5, that enters the sender role at slot 2
     with two queued messages, seq 0 and 1."""
     node = make_node()
-    node.queue.extend(Message(origin=1, seq=seq, created_at=2, path=(1,))
+    node.queue.extend(data_frame(src=1, src_hop=2, origin=1, seq=seq,
+                                 created_at=2, path=(1,))
                       for seq in range(2))
     node.finish(2)
     assert node.state == "scan"
@@ -291,8 +291,11 @@ def test_sender_wakes_follow_the_pendulum(t, base, rounds, fixed, acks):
 
 def test_scan_attempt_and_matched_send_frames_field_by_field():
     node = make_node(t=5, offset=2, hop=2)
-    node.queue.extend([Message(origin=7, seq=3, created_at=40, path=(7, 5)),
-                       Message(origin=8, seq=4, created_at=41, path=(8, 6))])
+    node.queue.extend([
+        data_frame(src=1, src_hop=2, origin=7, seq=3, created_at=40,
+                   path=(7, 5)),
+        data_frame(src=1, src_hop=2, origin=8, seq=4, created_at=41,
+                   path=(8, 6))])
     node.finish(2)
     assert node.state == "scan"
     frame = node.poll(node.next_wake)
@@ -312,17 +315,25 @@ def test_scan_attempt_and_matched_send_frames_field_by_field():
 
 
 def test_queued_messages_and_acks_field_by_field():
+    # a queue entry is a frame its holder built: the holder's id and hop,
+    # addressed to nobody, outside any batch; every field of the heard
+    # frame that the entry does not carry differs from the entry's
     node = make_node(hop=2)
     heard = data_frame(src=7, src_hop=3, dst=1, origin=8, seq=4,
-                       created_at=40, is_start=True, path=(8, 7))
+                       created_at=40, is_start=True, is_end=True,
+                       path=(8, 7))
     assert asdict(node.on_data(50, heard)) == {"src": 1, "ack_dst": 7}
     assert asdict(node.queue[-1]) == {
-        "origin": 8, "seq": 4, "created_at": 40, "path": (8, 7, 1)}
+        "src": 1, "dst": None, "src_hop": 2, "origin": 8, "seq": 4,
+        "created_at": 40, "is_start": False, "is_end": False,
+        "path": (8, 7, 1)}
     # readings: origin 1, seqs 0-2, due at base 2 plus one cycle per seq
-    reader = make_node(t=5, offset=2, rounds=3)
+    reader = make_node(t=5, offset=2, hop=7, rounds=3)
     reader._generate(14)
     assert [asdict(m) for m in reader.queue] == [
-        {"origin": 1, "seq": seq, "created_at": 2 + 6 * seq, "path": (1,)}
+        {"src": 1, "dst": None, "src_hop": 7, "origin": 1, "seq": seq,
+         "created_at": 2 + 6 * seq, "is_start": False, "is_end": False,
+         "path": (1,)}
         for seq in range(3)]
 
 
@@ -339,10 +350,11 @@ def test_sink_delivery_and_ack_field_by_field():
 
 
 # -- a retried frame is sent again while its addressing holds ---------------
-# A queued message keeps the frame it last went out in; `poll` sends it
-# again only when src, dst, is_start and is_end are what a fresh build
-# would carry.  Each case below moves exactly the field it names, where
-# the protocol allows that, so dropping any one comparison fails one.
+# A queue entry is a frame its holder built, and a missed frame goes back
+# to the tail as it was sent; `poll` sends the head as it is only when
+# dst, is_start and is_end are what a fresh build would carry.  Each case
+# below moves exactly the field it names, where the protocol allows
+# that, so dropping any one comparison fails one.
 
 
 def step(node, ack=None):
@@ -356,14 +368,20 @@ def step(node, ack=None):
 
 
 def queued(node, count):
-    msgs = [Message(origin=node.id, seq=seq, created_at=0, path=(node.id,))
-            for seq in range(count)]
-    node.queue.extend(msgs)
-    return msgs
+    frames = [data_frame(src=node.id, src_hop=node.hop, origin=node.id,
+                         seq=seq, created_at=0, path=(node.id,))
+              for seq in range(count)]
+    node.queue.extend(frames)
+    return frames
 
 
 def addressing(frame):
     return frame.src, frame.dst, frame.is_start, frame.is_end
+
+
+def put_back(node, frame):
+    """Whether a missed `frame` went back to the tail of the queue."""
+    return node.queue[-1] is frame
 
 
 def test_scan_to_send_rebuilds_a_retried_frame_for_its_new_target():
@@ -371,12 +389,13 @@ def test_scan_to_send_rebuilds_a_retried_frame_for_its_new_target():
     m0, _, _ = queued(node, 3)
     node.finish(2)
     missed = step(node)  # m0 goes out to whoever answers, unacked
+    assert missed is not m0 and put_back(node, missed)
     assert addressing(missed) == (1, None, True, False)
     step(node, ack=55)  # m1: the ack matches 55, and the batch is open
     assert node.state == "send"
     first_try = step(node)  # m2, unacked
     again = step(node)  # m0 again, now to 55 and mid-batch
-    assert again is not missed and m0.frame is again
+    assert again is not missed and put_back(node, again)
     assert asdict(again) == {
         "src": 1, "dst": 55, "src_hop": 2, "origin": 1, "seq": 0,
         "created_at": 0, "is_start": False, "is_end": False, "path": (1,)}
@@ -390,13 +409,13 @@ def test_last_queued_message_rebuilds_for_is_end():
     placement = NodePlacement(node_id=1, x=0.0, y=0.0, offset=2)
     node = ForwardNode(placement, make_spec(5), FixedHopPolicy(PEER),
                        hop=2, rounds=0)
-    m0, _ = queued(node, 2)
+    queued(node, 2)
     node.finish(2)
     missed = step(node)
     assert addressing(missed) == (1, PEER, True, False)
     step(node, ack=PEER)  # m1 acked: rescan with m0 alone queued
     last = step(node)
-    assert last is not missed and m0.frame is last
+    assert last is not missed and put_back(node, last)
     assert addressing(last) == (1, PEER, True, True)
 
 
@@ -407,10 +426,10 @@ def test_a_reading_made_behind_a_lone_message_rebuilds_for_is_end():
     node.finish(2)
     alone = step(node)
     assert addressing(alone) == (1, None, True, True)
-    reading0 = node.queue[-1]
+    assert put_back(node, alone)
     step(node)  # reading 1, unacked
     behind = step(node)
-    assert behind is not alone and reading0.frame is behind
+    assert behind is not alone and put_back(node, behind)
     assert addressing(behind) == (1, None, True, False)
 
 
@@ -420,13 +439,13 @@ def test_first_ack_of_a_batch_rebuilds_for_is_start():
     node.finish(2)
     step(node, ack=55)  # the lone message closes its batch, acked
     # a new batch after an acked closing frame opens with is_start
-    m0, _, _ = queued(node, 3)
+    queued(node, 3)
     opening = step(node)  # m0, unacked
     assert addressing(opening) == (1, 55, True, False)
     step(node, ack=55)  # m1: the batch is now acked
     step(node)  # m2, unacked
     again = step(node)
-    assert again is not opening and m0.frame is again
+    assert again is not opening and put_back(node, again)
     assert addressing(again) == (1, 55, False, False)
 
 
@@ -445,39 +464,25 @@ def test_realigning_rescan_rebuilds_for_its_new_target():
     placement = NodePlacement(node_id=1, x=0.0, y=0.0, offset=2)
     node = ForwardNode(placement, make_spec(5),
                        RandomHopPolicy([5, 6], TakeTurns()), hop=2, rounds=0)
-    m0, _, _ = queued(node, 3)
+    queued(node, 3)
     node.finish(2)
     missed = step(node)
     assert addressing(missed) == (1, 5, True, False)
     step(node, ack=5)  # m1 acked: rescan, drawing 6
     step(node)  # m2, unacked
     again = step(node)
-    assert again is not missed and m0.frame is again
+    assert again is not missed and put_back(node, again)
     assert addressing(again) == (1, 6, True, False)
-
-
-def test_a_message_held_at_two_nodes_goes_out_under_each_holder():
-    spec = make_spec(5)
-    shared = Message(origin=9, seq=0, created_at=0, path=(9,))
-    nodes = [ForwardNode(NodePlacement(node_id=nid, x=0.0, y=0.0, offset=2),
-                         spec, CachedPolicy(), hop=hop, rounds=0)
-             for nid, hop in ((1, 2), (4, 3))]
-    for node in nodes:
-        node.queue.append(shared)
-        node.finish(2)
-    frames = [step(node) for node in nodes] + [step(nodes[0])]
-    assert [(f.src, f.src_hop) for f in frames] == [(1, 2), (4, 3), (1, 2)]
-    assert len({id(f) for f in frames}) == 3
 
 
 def fresh_frame(node):
     """A fresh build of the frame the node sends now: the head of its
     queue, addressed from the node's state."""
-    msg = node.queue[0]
+    head = node.queue[0]
     dst = node.next_hop if node.state == "send" else node.scan_target
-    return DataFrame(node.id, dst, node.hop, msg.origin, msg.seq,
-                     msg.created_at, not node._batch_acked,
-                     len(node.queue) == 1, msg.path)
+    return DataFrame(node.id, dst, node.hop, head.origin, head.seq,
+                     head.created_at, not node._batch_acked,
+                     len(node.queue) == 1, head.path)
 
 
 # the golden grid's points up to t=50, its 10-round busy point included
@@ -491,18 +496,21 @@ def test_every_sent_frame_matches_a_fresh_build(monkeypatch):
     poll = ForwardNode.poll
     tally = Counter()
     strategy = [None]
+    sent = {}  # id -> frame, for every frame sent in the current run
 
     def checked(node, slot):
         sending = node.state in ("scan", "send") and bool(node.queue)
         if sending:
-            want, kept = fresh_frame(node), node.queue[0].frame
+            want, head = fresh_frame(node), node.queue[0]
+            retry = id(head) in sent
         frame = poll(node, slot)
         if sending:
             # a dataclass's == compares the fields as asdict lists them
             assert frame == want, (strategy[0], slot, asdict(frame), asdict(want))
+            sent[id(frame)] = frame
             tally[strategy[0], "sent"] += 1
-            if kept is not None:
-                tally[strategy[0], "resent" if frame is kept else "rebuilt"] += 1
+            if retry:
+                tally[strategy[0], "resent" if frame is head else "rebuilt"] += 1
         else:
             assert frame is None
         return frame
@@ -513,6 +521,7 @@ def test_every_sent_frame_matches_a_fresh_build(monkeypatch):
             shape=shape, n_nodes=n, t=t, seed=11))
         topo = build_topology(scenario)
         for strategy[0] in STRATEGIES:
+            sent.clear()
             run_forwarding(scenario, topo.hops, rounds=rounds,
                            policies=build_policies(strategy[0], scenario, topo))
     for name in STRATEGIES:

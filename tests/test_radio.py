@@ -170,8 +170,8 @@ def test_jitter_stream_is_roughly_uniform():
 
     rng = derive_rng_stream(1, 0, "jitter")
     n = 16000
-    counts = [0] * 16
+    counts = [0] * MICRO_SLOTS
     for _ in range(n):
-        counts[rng.randrange(16)] += 1
+        counts[rng.randrange(MICRO_SLOTS)] += 1
     _, p = stats.chisquare(counts)
     assert p > 0.001
