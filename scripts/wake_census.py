@@ -17,11 +17,15 @@ while it sits out a failure.  `tx` means the poll returned a frame, and
 SHARE is the line's share of its class's wakes.  Then one line per
 phase (`mapping`, `forwarding`) and one for both:
 
-    steps PHASE STEPS idle IDLE idle_frac FRAC
+    steps PHASE STEPS idle IDLE idle_frac FRAC unheard UNHEARD unheard_frac FRAC
 
-where a step is a slot the engine processed and an idle step one in
-which nothing was sent.  Run it in two trees to see where a change
-moves wakes.  It imports `src/icroute` of this tree.
+where a step is a slot the engine processed, an idle step one in which
+nothing was sent, and an unheard step one in which frames were sent and
+no listener got an `on_data` call.  Both fractions are of STEPS.  The
+unheard count is taken at the behaviors' `on_data`, not inside the
+engine, so it does not depend on how the engine resolves a slot.  Run
+it in two trees to see where a change moves wakes.  It imports
+`src/icroute` of this tree.
 """
 
 from __future__ import annotations
@@ -38,11 +42,12 @@ sys.path.insert(0, os.path.join(ROOT, "scripts"))
 
 from icroute.engine import Engine  # noqa: E402
 from icroute.experiments import generate_scenario, run_experiment  # noqa: E402
-from icroute.forwarding import ForwardNode  # noqa: E402
+from icroute.forwarding import ForwardNode, ForwardSink  # noqa: E402
 from icroute.topology import TopoNode, TopoSink, build_topology  # noqa: E402
 from run_digests import _config, workload_cells  # noqa: E402
 
 POLLED = (TopoSink, TopoNode, ForwardNode)  # every behavior with a `poll`
+HEARING = (*POLLED, ForwardSink)  # every behavior with an `on_data`
 PHASES = ("mapping", "forwarding")
 
 
@@ -58,9 +63,11 @@ def state_of(node, slot):
 
 def census(cells):
     """Map and forward `cells`; return (wakes, steps): wakes counts
-    (class, state, outcome), steps counts (phase, "steps" or "idle")."""
+    (class, state, outcome), steps counts (phase, "steps", "idle" or
+    "unheard")."""
     wakes, steps = Counter(), Counter()
     phase = [PHASES[0]]
+    heard = [0]  # on_data calls so far
 
     def counted_poll(poll, name):
         def wrapped(node, slot):
@@ -70,18 +77,29 @@ def census(cells):
             return frame
         return wrapped
 
+    def counted_on_data(on_data):
+        def wrapped(node, slot, frame):
+            heard[0] += 1
+            return on_data(node, slot, frame)
+        return wrapped
+
     step = Engine._step
 
     def counted_step(engine, slot, awake, behaviors, res):
-        sent = res.frames_sent
+        sent, got = res.frames_sent, heard[0]
         step(engine, slot, awake, behaviors, res)
         steps[phase[0], "steps"] += 1
         steps[phase[0], "idle"] += res.frames_sent == sent
+        steps[phase[0], "unheard"] += (res.frames_sent > sent
+                                       and heard[0] == got)
 
     with ExitStack() as patches:
         for cls in POLLED:
             patches.enter_context(mock.patch.object(
                 cls, "poll", counted_poll(cls.poll, cls.__name__)))
+        for cls in HEARING:
+            patches.enter_context(mock.patch.object(
+                cls, "on_data", counted_on_data(cls.on_data)))
         patches.enter_context(mock.patch.object(Engine, "_step", counted_step))
         for cell in cells:
             phase[0] = "mapping"
@@ -104,10 +122,12 @@ def report(wakes, steps):
         yield f"{' '.join(key)} {n} {n / per_class[key[0]]:.4f}"
     for phase in (*PHASES, "all"):
         got = PHASES if phase == "all" else (phase,)
-        total = sum(steps[p, "steps"] for p in got)
-        idle = sum(steps[p, "idle"] for p in got)
-        frac = idle / total if total else 0.0
-        yield f"steps {phase} {total} idle {idle} idle_frac {frac:.4f}"
+        total, idle, unheard = (sum(steps[p, kind] for p in got)
+                                for kind in ("steps", "idle", "unheard"))
+        idle_frac, unheard_frac = ((n / total if total else 0.0)
+                                   for n in (idle, unheard))
+        yield (f"steps {phase} {total} idle {idle} idle_frac {idle_frac:.4f}"
+               f" unheard {unheard} unheard_frac {unheard_frac:.4f}")
 
 
 def main(argv=None):

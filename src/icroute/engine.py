@@ -17,7 +17,9 @@ offset is on it, but a listener that no transmitter reaches costs
 `resolve_slot` one set test, and the engine looks for parked listeners
 to finish only when the data phase decoded something (or collided):
 an ack phase follows only a data decode, so a slot whose data phase
-nobody heard touched nobody.
+nobody heard touched nobody.  A slot whose one frame no listener is in
+range of (charging ones included) builds no list at all: the radio is
+still called once for its data phase, with no listeners.
 
 Node behaviors are plain objects with:
     next_wake          absolute slot of the next working slot, or None
@@ -276,12 +278,21 @@ class Engine:
             self._file(awake, slot)
             return
         res.frames_sent += len(tx_a)
+        at = slot % self._cycle
+        parked = self._calendar[at]
+        if len(tx_a) == 1:
+            # a lone frame that no listener, charging or not, is in range
+            # of: the radio is still called once for the phase
+            near = self.neighbors[tx_a[0][0].src]
+            if (SINK not in near and near.isdisjoint(awake)
+                    and near.isdisjoint(parked)):
+                resolve_slot(tx_a, (), self.neighbors)
+                self._file(awake, slot)
+                return
 
         # the listeners: the sink, then the scheduled nodes and the ones
         # parked at the slot's offset, less those still charging, in
         # node-id order
-        at = slot % self._cycle
-        parked = self._calendar[at]
         charging = self._charging[at]
         if charging is not None and charging[0] == slot:
             parked = parked - charging[1]

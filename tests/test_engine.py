@@ -5,19 +5,23 @@ the unscheduled listening sink, the jitter draw, half duplex per phase,
 collisions reaching `on_data` and `on_ack`, one wake bucket per slot,
 nodes parked at their offset, forwarding receivers among them, a
 parked node touched by an ack alone, the charge rule for a node parked
-at a new offset, and no reference cycle through a finished engine."""
+at a new offset, a lone frame no listener is in range of, and no
+reference cycle through a finished engine."""
 
 import dataclasses
 import gc
 import weakref
+from unittest import mock
 
 import pytest
 
+from icroute import engine as engine_module
 from icroute.core import (SINK, AckFrame, ChargingSpec, DataFrame, HopFrame,
                           NodePlacement, Scenario)
 from icroute.engine import Countdown, Engine, park_deadline
 from icroute.forwarding import CachedPolicy, ForwardNode, ForwardSink, run_forwarding
-from icroute.radio import COLLISION, MICRO_SLOTS, EventTrace, derive_rng_stream
+from icroute.radio import (COLLISION, MICRO_SLOTS, EventTrace, derive_rng_stream,
+                           resolve_slot)
 
 
 def line_field(*nodes, deaths=None):
@@ -382,6 +386,78 @@ def test_parked_node_reached_only_by_an_ack_is_finished():
     assert listener.heard == []
     assert listener.acks == [(9, AckFrame(src=2, ack_dst=1))]
     assert listener.finished == [9] and listener.polled == []
+
+
+# -- a lone frame that no listener is in range of --------------------------
+#
+# Node 1 sends HOP alone at offset 3.  The engine builds no listener list
+# for a slot whose one frame nobody is in range of (the sink, a scheduled
+# node or a parked one, charging or not), and still calls the radio once
+# for its data phase, with no listeners.
+
+
+def radio_run(nodes, behaviors, sink, horizon):
+    """Run `behaviors` on `line_field(*nodes)`; return (transmitters,
+    listeners) of each radio call and the run's result."""
+    calls = []
+
+    def counted(tx, listeners, neighbors):
+        calls.append(([f.src for f, _ in tx], list(listeners)))
+        return resolve_slot(tx, listeners, neighbors)
+
+    engine = Engine(line_field(*nodes), behaviors, sink)
+    with mock.patch.object(engine_module, "resolve_slot", counted):
+        res = engine.run(horizon)
+    return calls, res
+
+
+def test_lone_frame_out_of_everyones_range_has_no_listeners():
+    # node 2 is parked at the sender's offset, 45m away
+    sender, far, sink = Beacon(3, 6, HOP), Parked(offset=3), Beacon(None, None)
+    calls, res = radio_run([(1, 50.0), (2, 5.0)], {1: sender, 2: far}, sink, 15)
+    assert calls == [([1], [])] * 3
+    # refiled at its next wake each time, and every frame counted
+    assert sender.polled == [3, 9, 15] and res.frames_sent == 3
+    assert sink.heard == far.heard == far.finished == []
+
+
+# node 2, 5m from node 1 and both out of the sink's range, finishes in
+# slot 1 and parks at offset 3: it charges through slot 3 and listens
+# from slot 9 on
+CHARGING = [(1, 30.0), (2, 25.0)]
+
+
+def test_lone_frame_whose_one_listener_is_charging_is_not_heard():
+    mover = Mover(1, 3)
+    calls, _ = radio_run(CHARGING, {1: Burst([3, 9]), 2: mover},
+                         Beacon(None, None), 8)
+    # the slot takes the listener list, and the charge rule leaves node 2
+    # off it
+    assert calls == [([1], [SINK, 1])]
+    assert mover.heard == [] and mover.finished == [1]
+
+
+def test_lone_frame_whose_one_listener_has_charged_is_decoded():
+    mover = Mover(1, 3)
+    calls, _ = radio_run(CHARGING, {1: Burst([3, 9]), 2: mover},
+                         Beacon(None, None), 20)
+    assert calls[1] == ([1], [SINK, 1, 2])
+    assert mover.heard == [(9, HOP)] and mover.finished == [1, 9]
+
+
+def test_lone_frame_only_the_sink_is_in_range_of_is_decoded():
+    sink, far = Beacon(None, None), Parked(offset=3)
+    radio_run([(1, 5.0), (2, 50.0)], {1: Burst([3, 9]), 2: far}, sink, 20)
+    assert sink.heard == [(3, HOP), (9, HOP)]
+    assert far.heard == far.finished == []
+
+
+def test_lone_frame_a_scheduled_listener_is_in_range_of_is_decoded():
+    # node 2 wakes in the sender's slots and only listens
+    listener = Beacon(3, 6)
+    radio_run(CHARGING, {1: Burst([3, 9]), 2: listener}, Beacon(None, None), 15)
+    assert listener.polled == [3, 9, 15]
+    assert listener.heard == [(3, HOP), (9, HOP)]
 
 
 def test_deadline_is_the_first_slot_at_the_offset_not_before_until():

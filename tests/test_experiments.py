@@ -1,5 +1,6 @@
 """Scenario generation, quantile math, and the export pipeline."""
 
+import dataclasses
 import filecmp
 import json
 import math
@@ -286,6 +287,44 @@ def test_drawn_scenarios_map_least_hop_conserve_and_repeat(points, t, seed,
         assert all(b in near[a] for a, b in zip(path, path[1:]))
         assert all(want[a] > want.get(b, 0) for a, b in zip(path, path[1:]))
     assert_same_exports(*runs)
+
+
+def other_nodes_results(scenario, strategy, drop):
+    """Map `scenario` and forward it under `strategy`; return what each
+    node but `drop` ends with, and the runs' slots and deliveries."""
+    topo = build_topology(scenario)
+    fwd = run_experiment(ExperimentConfig(n_nodes=len(scenario.nodes),
+                                          t=scenario.spec.charge_slots,
+                                          strategy=strategy, rounds=2,
+                                          seed=scenario.seed),
+                         scenario=scenario, topo=topo).forward
+    per_node = {nid: (topo.hops[nid], topo.next_hops[nid],
+                      topo.known_lower[nid])
+                for nid in topo.hops if nid != drop}
+    return (per_node, topo.topo_time, topo.converged_at, fwd.deliveries,
+            fwd.failures, fwd.run.last_slot)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(points=st.lists(st.tuples(coords, coords), min_size=1, max_size=10),
+       t=st.integers(1, 5), seed=st.integers(0, 2**31 - 1),
+       baseline=st.sampled_from(STRATEGIES[1:]), data=st.data())
+def test_a_node_out_of_everyones_range_changes_no_other_node(points, t, seed,
+                                                             baseline, data):
+    # no frame the far node sends reaches anyone, so when it sends alone
+    # in a slot the engine builds no listener list for that slot
+    n = len(points)
+    offsets = data.draw(st.lists(st.integers(0, t), min_size=n + 1,
+                                 max_size=n + 1))
+    nodes = [NodePlacement(i, x, y, off)
+             for i, ((x, y), off) in enumerate(zip(points, offsets))]
+    scenario = Scenario(ChargingSpec(t), nodes, sink_xy=(0.0, 0.0),
+                        range_m=10.0, seed=seed)
+    far = NodePlacement(n, 1e6, 1e6, offsets[n])
+    with_far = dataclasses.replace(scenario, nodes=[*nodes, far])
+    for strategy in ("rics", baseline):
+        assert other_nodes_results(with_far, strategy, n) == \
+            other_nodes_results(scenario, strategy, n)
 
 
 # Two generated fields whose mapping settles on a non-least hop today:

@@ -1,4 +1,5 @@
-"""scripts/wake_census.py: wakes per (class, state, outcome) and idle steps."""
+"""scripts/wake_census.py: wakes per (class, state, outcome), and idle and
+unheard steps."""
 
 import importlib.util
 import os
@@ -16,7 +17,8 @@ spec.loader.exec_module(wake_census)
 WAKES = re.compile(r"^(TopoSink|TopoNode|ForwardNode) ([a-z_-]+) (tx|listen) "
                    r"(\d+) (\d\.\d{4})$")
 STEPS = re.compile(r"^steps (mapping|forwarding|all) (\d+) idle (\d+) "
-                   r"idle_frac (\d\.\d{4})$")
+                   r"idle_frac (\d\.\d{4}) unheard (\d+) "
+                   r"unheard_frac (\d\.\d{4})$")
 
 
 def small_cell():
@@ -56,10 +58,14 @@ def test_transmit_wakes_are_the_frames_sent_and_steps_add_up(monkeypatch, capsys
     for name in {m.group(1) for m in wakes}:
         share = sum(float(m.group(5)) for m in wakes if m.group(1) == name)
         assert abs(share - 1) < 1e-3
-    (mapping, forwarding, both) = [(int(m.group(2)), int(m.group(3)))
-                                   for m in steps]
-    assert both == (mapping[0] + forwarding[0], mapping[1] + forwarding[1])
+    (mapping, forwarding, both) = [
+        (int(m.group(2)), int(m.group(3)), int(m.group(5))) for m in steps]
+    assert both == tuple(a + b for a, b in zip(mapping, forwarding))
     assert 0 < mapping[1] < mapping[0]
+    # an unheard step sent something, so it is not idle
+    for total, idle, unheard in (mapping, forwarding, both):
+        assert unheard <= total - idle
+    assert mapping[2] > 0
     # and the same lines again
     assert wake_census.main(["small", "--cells", "1"]) == 0
     assert capsys.readouterr().out.splitlines() == lines
