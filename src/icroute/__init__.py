@@ -5,7 +5,6 @@ from .core import (
     ChargingSpec,
     NodePlacement,
     Scenario,
-    delay_offset,
 )
 from .experiments import (
     ExperimentConfig,
@@ -14,7 +13,6 @@ from .experiments import (
     run_experiment,
 )
 from .forwarding import run_forwarding
-from .sync import closed_form_latency, expected_scan_latency
 from .topology import build_topology, verify_least_hop
 
 __all__ = [
@@ -25,9 +23,6 @@ __all__ = [
     "NodePlacement",
     "Scenario",
     "build_topology",
-    "closed_form_latency",
-    "delay_offset",
-    "expected_scan_latency",
     "generate_scenario",
     "run_experiment",
     "run_forwarding",

@@ -49,17 +49,6 @@ class ChargingSpec:
         return self.charge_slots + 1
 
 
-def delay_offset(offset: int, spec: ChargingSpec, slots: int = 1) -> int:
-    """Working offset after postponing the working slot by `slots` slots.
-
-    Postponement is the only physical move an intermittently-charged node
-    has: it can hold its charge and wake later, never earlier.
-    """
-    if slots < 0:
-        raise ValueError("can only delay, not advance")
-    return (offset + slots) % spec.cycle
-
-
 @dataclass(slots=True)
 class HopFrame:
     """Topology broadcast: hop count plus progress round of the sender."""

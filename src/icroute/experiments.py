@@ -21,7 +21,6 @@ from .baselines import STRATEGIES, build_policies
 from .core import NO_HOP, SINK, ChargingSpec, NodePlacement, Scenario
 from .forwarding import ForwardResult, message_slot, run_forwarding
 from .radio import EventTrace, derive_rng_stream
-from .sync import expected_scan_latency
 from .topology import TopoResult, bfs_hops, build_topology
 
 SHAPES = {"square": (45.0, 45.0), "rectangle": (40.0, 80.0)}
@@ -56,6 +55,9 @@ class ExperimentConfig:
             raise ValueError("n_nodes, t and rounds must all be >= 1")
         if self.slot_ms <= 0 or self.range_m <= 0:
             raise ValueError("slot_ms and range_m must be positive")
+        # seed material is packed into 16 signed bytes (`radio._mix64`)
+        if not -2**127 <= self.seed < 2**127:
+            raise ValueError("seed must be in [-2**127, 2**127)")
 
     @property
     def dims(self) -> tuple[float, float]:
@@ -104,6 +106,16 @@ def generate_scenario(config: ExperimentConfig) -> Scenario:
         f"area too sparse: no connected draw in {MAX_PLACEMENT_TRIES} tries "
         f"(n={config.n_nodes}, range={config.range_m}m, "
         f"area={width:g}x{height:g}m, mean degree={degree:.2f})")
+
+
+def expected_scan_latency(spec: ChargingSpec) -> float:
+    """Mean slot of the scan's first meeting under uniform offsets.
+
+    The scan meets the receiver in cycle d at its offset o_r, slot
+    d * (t+1) + o_r, and d and o_r are each uniform on [0, t].
+    """
+    t = spec.charge_slots
+    return (t / 2) * (t + 1) + t / 2
 
 
 def quantile(values: list, q: float) -> float:
@@ -209,11 +221,19 @@ class ExperimentResult:
 
 
 def _atomic_write(path: str, text: str) -> str:
+    """Write `text` to `path` through a temporary file in its directory.
+
+    The file gets the mode a plain `open(path, "w")` would give it;
+    `mkstemp` alone would leave it readable by its owner only.
+    """
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -1,15 +1,29 @@
-"""Working-time alignment between two duty-cycled nodes.
+"""Reference math of the alignment scan, for the tests.
 
 The sender delays its working slot by one position each cycle, so its
 offset walks through every value in [0, t] and is guaranteed to meet the
 receiver's within t+1 attempts.  `closed_form_latency` gives the exact
-slot of the first shared working slot on the cycle grid; `ForwardNode`
-in `forwarding` runs the scan live, attempt by attempt.
+slot of the first shared working slot on the cycle grid.
+
+The live scan is `icroute.forwarding.ForwardNode` (`poll`, `swing_back`);
+this module is the independent reference the tests check it and its
+bounds against, so it imports nothing from `icroute` but `icroute.core`.
 """
 
 from __future__ import annotations
 
-from .core import ChargingSpec
+from icroute.core import ChargingSpec
+
+
+def delay_offset(offset: int, spec: ChargingSpec, slots: int = 1) -> int:
+    """Working offset after postponing the working slot by `slots` slots.
+
+    Postponement is the only physical move an intermittently-charged node
+    has: it can hold its charge and wake later, never earlier.
+    """
+    if slots < 0:
+        raise ValueError("can only delay, not advance")
+    return (offset + slots) % spec.cycle
 
 
 def closed_form_latency(o_s: int, o_r: int, spec: ChargingSpec) -> int:
@@ -29,12 +43,6 @@ def closed_form_latency(o_s: int, o_r: int, spec: ChargingSpec) -> int:
 def alignment_cycles(o_s: int, o_r: int, spec: ChargingSpec) -> int:
     """Number of whole cycles before the offsets agree (0 = already aligned)."""
     return (o_r - o_s) % spec.cycle
-
-
-def expected_scan_latency(spec: ChargingSpec) -> float:
-    """Analytic mean of closed_form_latency under uniform offsets."""
-    t = spec.charge_slots
-    return (t / 2) * (t + 1) + t / 2
 
 
 def sample_latencies(spec: ChargingSpec, trials: int, rng):

@@ -15,17 +15,22 @@ module caches; expect the whole module to take a few minutes.
 import random
 from statistics import fmean, median
 
+from alignment import (
+    alignment_cycles,
+    closed_form_latency,
+    delay_offset,
+    sample_latencies,
+)
 from conftest import ACCEPTANCE_LINES
 
 from icroute.baselines import STRATEGIES, build_policies
-from icroute.core import AckFrame, ChargingSpec, DataFrame, delay_offset
+from icroute.core import AckFrame, ChargingSpec, DataFrame
 from icroute.experiments import ExperimentConfig, generate_scenario, run_experiment
 from icroute.forwarding import (
     ForwardNode,
     run_forwarding,
     swing_back,
 )
-from icroute.sync import alignment_cycles, closed_form_latency, sample_latencies
 from icroute.topology import build_topology, verify_least_hop
 
 SEEDS = tuple(range(10))

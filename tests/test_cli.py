@@ -120,6 +120,21 @@ def test_impossible_config_exits_1(tmp_path, capsys):
     assert "icroute:" in capsys.readouterr().err
 
 
+def test_out_of_range_seed_exits_1(tmp_path, capsys):
+    rc = main(["--nodes", "50", "--t", "5", "--rounds", "1",
+               "--seed", str(2**128), "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("icroute: seed") and "Traceback" not in err
+    # a sweep that walks past the last seed stops there
+    rc = main(["--nodes", "50", "--t", "5", "--rounds", "1",
+               "--seed", str(2**127 - 1), "--repeat", "2", "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("icroute: seed") and "Traceback" not in err
+    assert os.listdir(tmp_path) == [f"square-n50-t5-rics-r1-s{2**127 - 1}"]
+
+
 def test_out_naming_a_file_exits_1(tmp_path, capsys, monkeypatch):
     # an unusable --out is rejected before any simulation starts
     ran = []

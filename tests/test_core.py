@@ -9,7 +9,6 @@ from icroute.core import (
     HopFrame,
     NodePlacement,
     Scenario,
-    delay_offset,
 )
 from icroute.forwarding import CachedPolicy, ForwardNode
 
@@ -25,27 +24,6 @@ def test_charge_slots_must_be_positive():
         ChargingSpec(0)
     with pytest.raises(ValueError):
         ChargingSpec(-3)
-
-
-def test_delay_offset_wraps():
-    spec = ChargingSpec(4)
-    assert delay_offset(2, spec, 0) == 2
-    assert delay_offset(2, spec, 1) == 3
-    assert delay_offset(4, spec, 1) == 0
-    assert delay_offset(0, spec, 5) == 0
-
-
-def test_delay_offset_never_advances():
-    spec = ChargingSpec(4)
-    with pytest.raises(ValueError):
-        delay_offset(2, spec, -1)
-
-
-def test_delay_covers_all_offsets():
-    # delaying 0..t from a fixed offset reaches every offset exactly once
-    spec = ChargingSpec(9)
-    seen = {delay_offset(3, spec, d) for d in range(10)}
-    assert seen == set(range(10))
 
 
 def test_wire_records_are_slotted():

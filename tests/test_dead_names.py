@@ -6,7 +6,8 @@ module must be read by package code (outside `__init__`, which only
 re-exports), by `perfbench/` or by `scripts/`.  `scripts/line_coverage.py`
 finds code that no test runs; this finds code that only its tests run.
 Likewise every attribute the package sets on `self` must be read there,
-and every `__slots__` entry must be set.
+and every `__slots__` entry must be set.  The alignment reference math
+lives in `tests/alignment.py`, which imports only `icroute.core`.
 """
 
 import ast
@@ -14,12 +15,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "icroute"
-
-# read only by the acceptance checks, each named with its reader
-TEST_ONLY = {
-    "delay_offset": "acceptance 2 steps the scan with it as its reference",
-    "sample_latencies": "acceptance 3 samples the scan's mean latency with it",
-}
 
 
 def defined(tree):
@@ -56,10 +51,19 @@ def test_every_module_level_name_has_a_reader():
     read = {name for tree in parse(modules + outside_readers())
             for name in referenced(tree)}
     dead = sorted(f"{path.stem}.{name}" for path, tree in zip(modules, parse(modules))
-                  for name in defined(tree)
-                  if name not in read and name not in TEST_ONLY)
+                  for name in defined(tree) if name not in read)
     assert dead == []
-    assert not set(TEST_ONLY) & read, "a listed exception has a reader now"
+
+
+def test_alignment_reference_reads_only_core():
+    # the tests' alignment math checks the live scan, so it must never
+    # call it
+    tree = ast.parse((ROOT / "tests" / "alignment.py").read_text())
+    imported = {alias.name if isinstance(node, ast.Import) else node.module
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    assert {m for m in imported if m.split(".")[0] == "icroute"} == {"icroute.core"}
 
 
 def attributes(trees, ctx):

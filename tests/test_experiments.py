@@ -5,6 +5,7 @@ import filecmp
 import json
 import math
 import os
+import stat
 import tempfile
 
 import pytest
@@ -39,6 +40,12 @@ def test_config_validation():
     for bad in ({"slot_ms": 0.0}, {"range_m": -1.0}):
         with pytest.raises(ValueError, match="must be positive"):
             ExperimentConfig(**bad)
+    # a seed is packed into 16 signed bytes
+    for seed in (2**127, -2**127 - 1, 2**128):
+        with pytest.raises(ValueError, match="seed"):
+            ExperimentConfig(seed=seed)
+    for seed in (2**127 - 1, -2**127):
+        ExperimentConfig(seed=seed)
 
 
 def test_sink_sits_mid_edge():
@@ -212,6 +219,25 @@ def test_failed_write_leaves_no_temporary_file(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="disk full"):
         experiments._atomic_write(str(tmp_path / "summary.json"), "{}\n")
     assert os.listdir(tmp_path) == []
+
+
+def test_exports_get_the_mode_of_a_plain_open(tmp_path):
+    res = run_experiment(SMALL, trace=True)
+    for umask in (0o022, 0o027):
+        out = tmp_path / f"umask-{umask:o}"
+        old = os.umask(umask)
+        try:
+            paths = res.export(str(out))
+            assert os.umask(umask) == umask, "export changed the umask"
+            reference = os.path.join(os.path.dirname(paths[0]), "plain")
+            open(reference, "w").close()
+        finally:
+            os.umask(old)
+        want = stat.S_IMODE(os.stat(reference).st_mode)
+        assert want == 0o666 & ~umask
+        assert len(paths) == 4
+        for path in paths:
+            assert stat.S_IMODE(os.stat(path).st_mode) == want, path
 
 
 def test_trace_export_is_ndjson(tmp_path):

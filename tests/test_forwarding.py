@@ -8,6 +8,8 @@ from dataclasses import asdict
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from alignment import alignment_cycles, delay_offset
+
 from icroute import forwarding
 from icroute.baselines import (
     STRATEGIES,
@@ -22,11 +24,9 @@ from icroute.core import (
     DataFrame,
     NodePlacement,
     Scenario,
-    delay_offset,
 )
 from icroute.engine import Countdown
 from icroute.experiments import ExperimentConfig, generate_scenario
-from icroute.sync import alignment_cycles
 from icroute.forwarding import (
     CachedPolicy,
     ForwardNode,

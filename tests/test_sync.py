@@ -1,18 +1,21 @@
-"""Alignment scan behavior against brute-force oracles."""
+"""Alignment scan behavior against brute-force oracles, and the
+reference math of `alignment` against the same oracles."""
 
 import random
 from statistics import fmean
 
 import pytest
 
-from icroute.core import AckFrame, ChargingSpec, NodePlacement
-from icroute.forwarding import CachedPolicy, ForwardNode
-from icroute.sync import (
+from alignment import (
     alignment_cycles,
     closed_form_latency,
-    expected_scan_latency,
+    delay_offset,
     sample_latencies,
 )
+
+from icroute.core import AckFrame, ChargingSpec, NodePlacement
+from icroute.experiments import expected_scan_latency
+from icroute.forwarding import CachedPolicy, ForwardNode
 
 EXHAUSTIVE_T = range(1, 51)
 SLOT_WALK_T = range(1, 13)  # small enough for the slot-by-slot oracle
@@ -38,6 +41,27 @@ def walk_slots(o_s, o_r, spec):
         if within == (o_s + k) % cycle and within == o_r:
             return s
     raise AssertionError("no shared working slot found")
+
+
+def test_delay_offset_wraps():
+    spec = ChargingSpec(4)
+    assert delay_offset(2, spec, 0) == 2
+    assert delay_offset(2, spec, 1) == 3
+    assert delay_offset(4, spec, 1) == 0
+    assert delay_offset(0, spec, 5) == 0
+
+
+def test_delay_offset_never_advances():
+    spec = ChargingSpec(4)
+    with pytest.raises(ValueError):
+        delay_offset(2, spec, -1)
+
+
+def test_delay_covers_all_offsets():
+    # delaying 0..t from a fixed offset reaches every offset exactly once
+    spec = ChargingSpec(9)
+    seen = {delay_offset(3, spec, d) for d in range(10)}
+    assert seen == set(range(10))
 
 
 def test_closed_form_matches_cycle_walk_exhaustively():

@@ -183,6 +183,71 @@ def test_stale_acker_is_visited_before_its_first_transmission():
     assert node.poll(112) == HopFrame(0, 2, -3)
 
 
+SCHEDULE_T = range(1, 11)
+
+
+def acker_schedule(spec, ack_slot, round_no):
+    """Lead pass of a node that acked a frame stamped `round_no` at `ack_slot`.
+
+    The node is driven as the engine would, wake by wake, until its lead
+    pass is over.  Returns its transmit slots and its `_lead_plan` (last
+    round, listen slot, hold end).
+    """
+    acker = TopoNode(1, ack_slot % spec.cycle, spec, seed=0)
+    assert acker.on_data(ack_slot, HopFrame(0, 1, round_no)) is not None
+    acker.finish(ack_slot)
+    sent = []
+    while acker.state in ("lead_wait", "lead"):
+        slot = acker.next_wake
+        if acker.poll(slot) is not None:
+            sent.append(slot)
+        acker.finish(slot)
+    return sent, acker._plan
+
+
+def test_lead_pass_rounds_land_on_every_offset_once():
+    for t in SCHEDULE_T:
+        spec = ChargingSpec(t)
+        c = spec.cycle
+        for ack_slot in range(3 * c * c, 3 * c * c + c):
+            for round_no in range(-2, 2 * t + 4):
+                sent, _ = acker_schedule(spec, ack_slot, round_no)
+                assert sorted(s % c for s in sent[:c]) == list(range(c))
+                assert all(b - a == c + 1 for a, b in zip(sent, sent[1:]))
+
+
+def test_calls_on_a_stale_acker_land_where_it_listens_or_sends():
+    # one acker of our stale hop, over every ack slot in a cycle, every
+    # stamped round and every improvement slot up to three passes later
+    kinds = {"before": 0, "echo": 0, "listen-in": 0}
+    for t in SCHEDULE_T:
+        spec = ChargingSpec(t)
+        c = spec.cycle
+        pass_len = c * (c + 1)
+        node = TopoNode(0, 0, spec, seed=0)
+        for ack_slot in range(3 * c * c, 3 * c * c + c):
+            for round_no in range(-2, 2 * t + 4):
+                sent, (_, listen, hold_end) = acker_schedule(spec, ack_slot, round_no)
+                transmits = set(sent)
+                node._acked = {1: (ack_slot, round_no)}
+                for slot in range(ack_slot + 1, ack_slot + 3 * pass_len + 1):
+                    prev = slot
+                    for at, sends in node._plan_calls(slot):
+                        where = (t, ack_slot, round_no, slot, at, sends)
+                        assert at >= prev + c, where
+                        prev = at
+                        if not sends:
+                            assert at in transmits, where
+                            kinds["listen-in"] += 1
+                        elif at < sent[0] and at % c == ack_slot % c:
+                            kinds["before"] += 1
+                        else:
+                            assert listen <= at < hold_end, where
+                            assert at % c == listen % c, where
+                            kinds["echo"] += 1
+    assert all(kinds.values()), kinds
+
+
 def test_single_neighbor_learns_hop_during_sink_pass():
     sc = line_scenario(1, spacing=50, t=5, offsets=[3])
     res = build_topology(sc)
