@@ -100,7 +100,8 @@ class DiskGrid:
     """Points bucketed in square cells a hair wider than `range_m`, so
     every point within `range_m` of a spot lies in the 3x3 cells around
     the spot's cell (Bentley, Stanat & Williams, IPL 1977).  `points`
-    are (id, (x, y)) pairs."""
+    are (id, (x, y)) pairs; a point at (x, y) lies in the cell
+    (floor(x / side), floor(y / side))."""
 
     __slots__ = ("range_m", "side", "cells")
 
@@ -110,37 +111,44 @@ class DiskGrid:
         self.range_m = range_m
         self.side = range_m * CELL_MARGIN
         self.cells = {}
+        self.add(points)
+
+    def add(self, points) -> None:
+        """File each of `points` in its cell, after those already there."""
+        side, cells, floor = self.side, self.cells, math.floor
         for point in points:
-            self.add(point)
-
-    def add(self, point) -> None:
-        self.cells.setdefault(self.cell(point[1]), []).append(point)
-
-    def cell(self, xy) -> tuple[int, int]:
-        side = self.side
-        return math.floor(xy[0] / side), math.floor(xy[1] / side)
+            x, y = point[1]
+            cells.setdefault((floor(x / side), floor(y / side)),
+                             []).append(point)
 
     def near(self, xy, take: bool = False) -> list:
         """The (id, (x, y)) points within `range_m` of `xy`, boundary
-        inclusive; with `take`, they also leave the grid."""
-        cx, cy = self.cell(xy)
-        cells, range_m = self.cells, self.range_m
+        inclusive; with `take`, they also leave the grid, and each cell
+        keeps the rest of its members in order."""
+        side = self.side
+        cx, cy = math.floor(xy[0] / side), math.floor(xy[1] / side)
+        cells, range_m, dist = self.cells, self.range_m, math.dist
         found = []
         for dx, dy in _AROUND:
             key = (cx + dx, cy + dy)
             members = cells.get(key)
             if members is None:
                 continue
-            hits = [m for m in members if math.dist(xy, m[1]) <= range_m]
-            if hits:
-                found += hits
-                if take:
-                    # an emptied cell goes, so later lookups skip it
-                    rest = [m for m in members if m not in hits]
-                    if rest:
-                        cells[key] = rest
-                    else:
-                        del cells[key]
+            if not take:
+                found += [m for m in members if dist(xy, m[1]) <= range_m]
+                continue
+            rest = []
+            for m in members:
+                if dist(xy, m[1]) <= range_m:
+                    found.append(m)
+                else:
+                    rest.append(m)
+            if len(rest) < len(members):
+                # an emptied cell goes, so later lookups skip it
+                if rest:
+                    cells[key] = rest
+                else:
+                    del cells[key]
         return found
 
 
@@ -182,7 +190,7 @@ class Scenario:
             for b, _ in grid.near(xy):
                 mine.add(b)
                 near[b].add(a)
-            grid.add((a, xy))
+            grid.add([(a, xy)])
         return {a: frozenset(ids) for a, ids in near.items()}
 
     def offsets(self) -> dict[int, int]:

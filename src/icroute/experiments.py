@@ -85,16 +85,26 @@ def generate_scenario(config: ExperimentConfig) -> Scenario:
     MAX_PLACEMENT_TRIES disconnected draws.
     """
     rng = derive_rng_stream(config.seed, SINK, "scenario")
-    # uniform(0, w) is 0 + w * random(), and randint(0, t) is
-    # randrange(t + 1): the same values, drawn for less
-    random, randrange = rng.random, rng.randrange
+    random, bits = rng.random, rng.getrandbits
     width, height = config.dims
     offsets = config.t + 1
+    # uniform(0, w) is 0 + w * random().  An offset follows randint(0, t),
+    # that is randrange(t + 1), by its rule written out, so the stream
+    # does not hang on the interpreter's randrange: k bits, drawn again
+    # while the value is above t
+    k = offsets.bit_length()
+
+    def offset():
+        while True:
+            r = bits(k)
+            if r < offsets:
+                return r
+
     spec = ChargingSpec(charge_slots=config.t)
     scenario = None
     for _ in range(MAX_PLACEMENT_TRIES):
         nodes = [NodePlacement(i, width * random(), height * random(),
-                               randrange(offsets))
+                               offset())
                  for i in range(config.n_nodes)]
         scenario = Scenario(spec, nodes, config.sink_xy, config.range_m,
                             config.seed)

@@ -33,8 +33,11 @@ def resolve_slot(transmissions, listeners, neighbors):
 
     A listener that no transmitter reaches costs one set test, its
     neighbor set against the transmitters, before any frame is looked at;
-    only the reached listeners run the per-frame arbitration.
+    only the reached listeners run the per-frame arbitration.  A phase
+    with no listeners costs nothing and reads no neighbor set.
     """
+    if not listeners:
+        return {}
     tx_ids = {f.src for f, _ in transmissions}
     out = {}
     for lid in listeners:

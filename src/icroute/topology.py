@@ -556,7 +556,7 @@ def bfs_hops(scenario: Scenario) -> dict:
     the 3x3 cells around it, and leaves its cell when it is found.  A
     field the sink does not reach costs only the sink's component.
     """
-    grid = DiskGrid(((p.node_id, (p.x, p.y)) for p in scenario.nodes),
+    grid = DiskGrid([(p.node_id, (p.x, p.y)) for p in scenario.nodes],
                     scenario.range_m)
     hops = {p.node_id: NO_HOP for p in scenario.nodes}
     frontier = [scenario.sink_xy]

@@ -79,10 +79,11 @@ def test_generation_is_deterministic_per_seed():
 def reference_placement(config):
     """The sampler as it was first written: a full Scenario per try, then
     a BFS over the all-pairs `math.dist` disk graph.  Returns the
-    accepted nodes, or the SparseAreaError text."""
+    accepted nodes, or the SparseAreaError text, and the number of
+    tries."""
     rng = derive_rng_stream(config.seed, SINK, "scenario")
     width, height = config.dims
-    for _ in range(MAX_PLACEMENT_TRIES):
+    for tries in range(1, MAX_PLACEMENT_TRIES + 1):
         nodes = [NodePlacement(i, rng.uniform(0.0, width),
                                rng.uniform(0.0, height), rng.randint(0, config.t))
                  for i in range(config.n_nodes)]
@@ -103,15 +104,18 @@ def reference_placement(config):
                     nxt.append(b)
             frontier = nxt
         if len(found) == len(near):
-            return nodes
+            return nodes, tries
     degree = sum(map(len, near.values())) / len(near)
     return (f"area too sparse: no connected draw in {MAX_PLACEMENT_TRIES} tries "
             f"(n={config.n_nodes}, range={config.range_m}m, "
-            f"area={width:g}x{height:g}m, mean degree={degree:.2f})")
+            f"area={width:g}x{height:g}m, mean degree={degree:.2f})"), tries
 
 
 # n5 fields are often never connected in 1000 tries; range 7 m fields
-# are accepted after 100-800 tries, or never
+# are accepted after 100-800 tries, or never.  The offset draw takes
+# (t + 1).bit_length() bits and redraws a value above t: t = 1 draws two
+# bits, and t = 7 and 15 make t + 1 a power of two, where a mistaken bit
+# count would show.
 EQUIVALENCE = [
     ExperimentConfig(shape=shape, n_nodes=n, t=t, seed=seed)
     for shape in ("square", "rectangle") for n in (5, 50, 100)
@@ -121,6 +125,10 @@ EQUIVALENCE = [
     for shape, n, seeds in (("square", 50, range(4)),
                             ("rectangle", 100, range(3)))
     for seed in seeds
+] + [
+    ExperimentConfig(shape=shape, n_nodes=50, t=t, seed=seed)
+    for shape in ("square", "rectangle") for t in (1, 7, 15, 500)
+    for seed in range(2)
 ]
 
 
@@ -132,7 +140,27 @@ def test_generation_matches_the_all_pairs_reference(config):
         got = generate_scenario(config).nodes
     except SparseAreaError as err:
         got = str(err)
-    assert got == reference_placement(config)
+    assert got == reference_placement(config)[0]
+
+
+def test_each_placement_try_runs_one_bfs(monkeypatch):
+    # perfbench counts `experiments.bfs_hops` calls as placement tries
+    calls = []
+
+    def counted(scenario):
+        calls.append(scenario)
+        return bfs_hops(scenario)
+
+    monkeypatch.setattr(experiments, "bfs_hops", counted)
+    # every ninth config: fields accepted at once, after hundreds of
+    # tries, and never
+    for config in EQUIVALENCE[::9]:
+        calls.clear()
+        try:
+            generate_scenario(config)
+        except SparseAreaError:
+            pass
+        assert len(calls) == reference_placement(config)[1], config
 
 
 def test_hopeless_density_raises_with_diagnostics():
@@ -140,7 +168,7 @@ def test_hopeless_density_raises_with_diagnostics():
                               range_m=1.0)
     with pytest.raises(SparseAreaError) as err:
         generate_scenario(lonely)
-    assert str(err.value) == reference_placement(lonely) == (
+    assert str(err.value) == reference_placement(lonely)[0] == (
         "area too sparse: no connected draw in 1000 tries (n=2, range=1.0m, "
         "area=45x45m, mean degree=0.00)")
 
@@ -150,7 +178,7 @@ def test_sparse_area_error_reports_the_last_draws_mean_degree():
     config = ExperimentConfig(shape="square", n_nodes=5, t=5, seed=1)
     with pytest.raises(SparseAreaError) as err:
         generate_scenario(config)
-    assert str(err.value) == reference_placement(config)
+    assert str(err.value) == reference_placement(config)[0]
     assert "mean degree=0.00" not in str(err.value)
 
 

@@ -101,6 +101,19 @@ def test_unreached_listeners_are_skipped_in_listener_order():
                                  (4, txs[0][0]), (2, txs[1][0])]
 
 
+class Untouchable(dict):
+    """A disk graph that fails any lookup."""
+
+    def __getitem__(self, key):
+        raise AssertionError(f"neighbors read for {key}")
+
+
+def test_no_listeners_hear_nothing_and_read_no_neighbors():
+    txs = [(frame(0), 2), (frame(1), 5)]
+    assert resolve_slot(txs, (), Untouchable()) == {}
+    assert resolve_slot(txs, [], Untouchable()) == {}
+
+
 def test_resolution_is_permutation_invariant():
     txs = [(frame(0), 2), (frame(1), 5), (frame(2), 5)]
     near = graph(50.0)

@@ -107,6 +107,27 @@ def test_bfs_matches_relaxation_on_drawn_placements(sc):
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
+@given(grid_fields(), st.data())
+def test_take_leaves_exactly_the_unfound_points_in_order(sc, data):
+    points = [(p.node_id, (p.x, p.y)) for p in sc.nodes]
+    spot = data.draw(st.sampled_from([sc.sink_xy] + [xy for _, xy in points]))
+    grid = DiskGrid(points, sc.range_m)
+    before = {key: list(members) for key, members in grid.cells.items()}
+    looked = grid.near(spot)
+    found = grid.near(spot, take=True)
+    assert found == looked
+    assert sorted(found) == [m for m in points
+                             if math.dist(spot, m[1]) <= sc.range_m]
+    left = [m for members in grid.cells.values() for m in members]
+    assert sorted(found + left) == points
+    # each cell keeps its other members in order; an emptied cell goes
+    assert all(grid.cells.values())
+    assert grid.cells == {
+        key: rest for key, members in before.items()
+        if (rest := [m for m in members if m not in found])}
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
 @given(grid_fields())
 def test_grid_neighbors_match_all_pairs_on_drawn_placements(sc):
     assert sc.neighbors() == all_pairs_neighbors(sc)
