@@ -25,8 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-# Reserved id for the mains-powered collection point.  Every other node id
-# is a dense non-negative integer.
+# Reserved id for the mains-powered collection point.  Node ids are
+# distinct integers, and none is SINK (`Scenario.positions`).
 SINK = -1
 
 # Hop value of a node that has not learned a route.  Kept as a large int
@@ -175,6 +175,8 @@ class Scenario:
         pos = {SINK: self.sink_xy}
         for p in self.nodes:
             pos[p.node_id] = (p.x, p.y)
+        if len(pos) <= len(self.nodes):
+            raise ValueError("node ids must be distinct and differ from SINK")
         return pos
 
     def neighbors(self) -> dict[int, frozenset]:

@@ -32,7 +32,7 @@ schedule late, at the first round still ahead, and wraps the rounds it
 missed onto the end of the pass.  Its wrapped rounds reach some
 neighbors after those have started their own pass with a hop learned
 from a same-level node.  Rotating neighbors never hear each other, so a
-late node repairs them itself (`_lead_plan`):
+late node repairs them itself (`lead_plan`):
 
 * a little late: after its pass it slips ahead of those neighbors'
   rotation and listens there until they have passed it; each one it
@@ -48,6 +48,13 @@ stale frames, whose schedule it knows: with a frame at the neighbor's
 listening offset while that one waits for its anchor or listens out
 its echo, or by listening in on its next transmit slot while it
 rotates.
+
+This schedule is arithmetic over t, in four pure functions:
+`relay_anchor`, `join_round`, `lead_plan` and `plan_calls`.  Tier-1
+checks them for t up to 10 against nodes driven wake by wake: a pass
+covers each offset once, the relay claim holds, and calls on one or two
+ackers are a cycle or more apart and land where each acker listens or
+sends, unless it has stale ackers of its own (a known gap).
 
 Listeners answer with an ack when a frame actually improved their
 state; a broadcaster keeps running passes (with a re-randomized
@@ -154,6 +161,93 @@ class TopoSink:
         self.next_wake = slot + 1 if slot < 2 * self.t else None
 
 
+def relay_rounds(t):
+    """Rounds from a sender's anchor to its child's: half a pass, plus one."""
+    return (t + 1) // 2 + 1
+
+
+def relay_anchor(t, slot, round_no):
+    """Anchor of a node that learns its hop at `slot` from a frame
+    stamped `round_no`: `relay_rounds` after the sender's anchor (slot -
+    round_no rounds), moved up to the working offset of `slot`."""
+    relay = slot + (relay_rounds(t) - round_no) * (t + 2)
+    return relay + (slot - relay) % (t + 1)
+
+
+def join_round(t, anchor, start):
+    """First locked round of a pass at `anchor` a cycle or more after `start`."""
+    return max(0, math.ceil((start + t + 1 - anchor) / (t + 2)))
+
+
+def lead_plan(t, anchor, start):
+    """Schedule of a lead pass anchored at `anchor` by a node that
+    listens until `start`: the round it joins at (`join_round`), the last
+    locked round transmitted, the first slot of the listen that follows,
+    and the slot that listen ends.
+
+    A late joiner's neighbor that heard a same-level node first anchors
+    two relays after the joiner's anchor, and may rotate at most `ahead`
+    positions ahead of it.  The joiner catches it if it can slip in front
+    while it still rotates, and otherwise rotates on until the neighbor's
+    echo is over: the neighbor joins at most a pass minus a relay late,
+    rotates a pass and listens a pass.
+    """
+    c, rl, relay = t + 1, t + 2, relay_rounds(t)
+    v0 = join_round(t, anchor, start)
+    ahead = v0 + c - 2 * relay
+    catch = 0 < ahead and v0 + ahead + 2 <= 2 * relay
+    last = v0 + t
+    if ahead > 0 and not catch:
+        last = max(last, relay + 3 * c - 1)
+    end = anchor + last * rl
+    # echo: listen at one offset for a full pass
+    hold_end = max(anchor + c * (v0 // c + 2) * rl, end + c * rl)
+    if catch:
+        # slip ahead of the neighbors reached too late and let them
+        # rotate past
+        return v0, last, end + c + ahead + 1, max(hold_end, anchor + (last + 2 * ahead + 4) * rl)
+    return v0, last, end + c, hold_end
+
+
+def plan_calls(t, acked, slot):
+    """Visits, from a node whose hop improved at `slot`, that set right
+    the neighbors that acked its stale hop, as (slot, transmit) pairs;
+    `acked` holds their (ack slot, locked round) pairs.
+
+    Each acker anchored its own pass on our frame, so its schedule is
+    known (`lead_plan`).  While it listens, before its first
+    transmission or in its echo, we send it our new hop at its
+    listening offset; while it rotates we listen in on its next
+    transmit slot, and it takes our struggler reply in the ack phase.
+    Visits are at least a cycle apart, earliest first.
+    """
+    c, rl = t + 1, t + 2
+    todo = []
+    for ack_slot, vround in acked:
+        anchor = relay_anchor(t, ack_slot, vround)
+        v0, last, listen, hold_end = lead_plan(t, anchor, ack_slot)
+        todo.append((ack_slot % c, anchor + v0 * rl, anchor + last * rl, listen, hold_end))
+
+    def visit(prev, offset, first, end, listen, hold_end):
+        at = prev + c + (offset - prev - c) % c
+        if at < first:
+            return at, True
+        at = first + max(0, math.ceil((prev + c - first) / rl)) * rl
+        if at <= end:
+            return at, False
+        at = max(prev + c, listen)
+        at += (listen - at) % c
+        return (at, True) if at < hold_end else None
+
+    calls, prev = [], slot
+    while visits := [(v, item) for item in todo if (v := visit(prev, *item))]:
+        call, item = min(visits, key=lambda pair: pair[0][0])
+        calls.append(call)
+        todo.remove(item)
+        prev = call[0]
+    return calls
+
+
 class TopoNode:
     """Per-node state machine: listen, wait for the relay point, broadcast.
 
@@ -165,10 +259,6 @@ class TopoNode:
         self.id = node_id
         self.t = spec.charge_slots
         self.cycle = spec.cycle
-        self.round_len = spec.cycle + 1  # slots per rotation round
-        # rounds from a sender's anchor to its children's: a round past
-        # half a pass (see the module docstring)
-        self.relay_rounds = (self.t + 1) // 2 + 1
         self.hop = NO_HOP
         self.next_hop = None
         self.known_lower = set()
@@ -185,8 +275,8 @@ class TopoNode:
         # lead pass bookkeeping
         self._anchor = None  # slot of locked round 0
         self._vround = 0  # locked round of the next transmission
-        self._plan = None  # `_lead_plan` of this lead pass
-        self._acked = {}  # acker -> (ack slot, locked round) in this lead pass
+        self._plan = None  # `lead_plan` of this lead pass
+        self._acked = []  # (ack slot, locked round) per acker of this lead pass
         self._calls = []  # (slot, transmit) visits to stale children
         # broadcast bookkeeping
         self._round = 0  # rotation steps taken in this pass
@@ -242,7 +332,7 @@ class TopoNode:
             if self.state in ("bcast", "lead") and frame.ack_dst == self.id:
                 self._cur_ackers = True
                 if self.state == "lead":
-                    self._acked[frame.src] = (slot, self._vround)
+                    self._acked.append((slot, self._vround))
         elif isinstance(frame, HopFrame):
             self._consider(slot, frame)
 
@@ -306,98 +396,36 @@ class TopoNode:
     # -- transitions ---------------------------------------------------
 
     def _stamp(self, slot):
-        """Locked rounds since our anchor (negative before it).
-
-        A listener puts our anchor at slot - stamp * round_len, within a
-        round of the true one.  Every node that sends a hop frame has
-        anchored a lead pass (`_enter_lead`).
-        """
-        return (slot - self._anchor) // self.round_len
-
-    def _relay_anchor(self, slot, round_no):
-        """Anchor of a node that learns its hop from a frame stamped `round_no`.
-
-        It lies `relay_rounds` rounds after the sender's anchor (slot -
-        round_no rounds), moved up to the working offset of `slot`.
-        """
-        relay = slot + (self.relay_rounds - round_no) * self.round_len
-        return relay + (slot - relay) % self.cycle
-
-    def _join_round(self, anchor, start):
-        """First locked round at least a cycle after `start`."""
-        return max(0, math.ceil((start + self.cycle - anchor) / self.round_len))
+        """Locked rounds since our anchor, negative before it, which a
+        listener places at slot - stamp * (t+2) to within a round.
+        Every node that sends a hop frame has anchored (`_enter_lead`)."""
+        return (slot - self._anchor) // (self.cycle + 1)
 
     def _enter_lead(self, slot, round_no):
-        """Anchor a lead pass after learning a hop from `next_hop`'s frame.
-
-        The anchor is the relay anchor (`_relay_anchor`), or after the
-        sink's pass our next working slot.  We listen until the first
-        locked round at least a cycle ahead, visiting on the way any
-        neighbor that adopted our previous, stale hop.
-        """
+        """Anchor a lead pass after learning a hop from `next_hop`'s frame:
+        at `relay_anchor`, or after the sink's pass at our next working
+        slot.  We listen until the first locked round at least a cycle
+        ahead, visiting on the way the ackers of our stale hop
+        (`plan_calls`)."""
         self._pass_no = 0
         self._quiet_streak = 0
         self._farewells = 0
-        self._calls = self._plan_calls(slot)
-        self._acked = {}
+        self._calls = plan_calls(self.t, self._acked, slot)
+        self._acked = []
         start = self._calls[-1][0] if self._calls else slot
-        if self.next_hop == SINK:
-            self._anchor = slot + self.cycle
-        else:
-            self._anchor = self._relay_anchor(slot, round_no)
-        self._vround = self._join_round(self._anchor, start)
-        self._plan = self._lead_plan(self._anchor, self._vround)
+        self._anchor = (slot + self.cycle if self.next_hop == SINK
+                        else relay_anchor(self.t, slot, round_no))
+        self._plan = lead_plan(self.t, self._anchor, start)
+        self._vround = self._plan[0]
         self.state = "lead_wait"
         self._advance_lead_wait(slot)
-
-    def _plan_calls(self, slot):
-        """Visits that set right the neighbors that acked our stale hop.
-
-        Each acker anchored its own pass on our frame, so its schedule is
-        known (`_lead_plan`).  While it listens, before its first
-        transmission or in its echo, we send it our new hop at its
-        listening offset; while it rotates we listen in on its next
-        transmit slot, and it takes our struggler reply in the ack phase.
-        Visits are at least a cycle apart, earliest first.
-        """
-        c, rl = self.cycle, self.round_len
-        todo = []
-        for ack_slot, vround in self._acked.values():
-            anchor = self._relay_anchor(ack_slot, vround)
-            v0 = self._join_round(anchor, ack_slot)
-            last, listen, hold_end = self._lead_plan(anchor, v0)
-            todo.append((ack_slot % c, anchor + v0 * rl, anchor + last * rl, listen, hold_end))
-        calls = []
-        prev = slot
-        while todo:
-            best = None
-            for item in todo:
-                offset, first, end, listen, hold_end = item
-                at = prev + c + (offset - prev - c) % c
-                if at < first:
-                    call = (at, True)
-                else:
-                    at = first + max(0, math.ceil((prev + c - first) / rl)) * rl
-                    call = (at, False)
-                    if at > end:
-                        at = max(prev + c, listen)
-                        at += (listen - at) % c
-                        call = (at, True) if at < hold_end else None
-                if call is not None and (best is None or call[0] < best[0][0]):
-                    best = (call, item)
-            if best is None:
-                break
-            calls.append(best[0])
-            todo.remove(best[1])
-            prev = best[0][0]
-        return calls
 
     def _advance_lead_wait(self, slot):
         if self._calls and self._calls[0][0] == slot:
             self._calls.pop(0)
         # listen at our offset, then slip to the next call or first
         # transmission (always at least a cycle ahead)
-        tx_slot = self._anchor + self._vround * self.round_len
+        tx_slot = self._anchor + self._vround * (self.cycle + 1)
         target = self._calls[0][0] if self._calls else tx_slot
         self._until = target - 2 * self.cycle + 1
         if slot < self._until:
@@ -409,42 +437,12 @@ class TopoNode:
             self._pass_no += 1
             self._cur_ackers = False
 
-    def _lead_plan(self, anchor, v0):
-        """Schedule of a lead pass anchored at `anchor` that joins at round v0.
-
-        Returns the last locked round transmitted, the first slot of the
-        listen that follows, and the slot that listen ends.
-
-        A late joiner's neighbor that heard a same-level node first
-        anchors two relays after the joiner's anchor and may start
-        rotating before the joiner's frame reaches it; it then runs at most
-        `ahead` positions ahead of the joiner's rotation.  If the joiner
-        can slip in front of it while it still rotates, it catches it;
-        otherwise it rotates on until the neighbor's echo is over: the
-        neighbor anchors at 2 relays, joins at most a pass minus a relay
-        late, rotates a pass and listens a pass.
-        """
-        c, rl, t, relay = self.cycle, self.round_len, self.t, self.relay_rounds
-        ahead = v0 + t + 1 - 2 * relay
-        catch = 0 < ahead and v0 + t + 1 + ahead + 2 <= 2 * relay + c
-        last = v0 + t
-        if ahead > 0 and not catch:
-            last = max(last, relay + 3 * c - 1)
-        end = anchor + last * rl
-        # echo: listen at one offset for a full pass
-        hold_end = max(anchor + c * (v0 // c + 2) * rl, end + c * rl)
-        if catch:
-            # slip ahead of the neighbors reached too late and let them
-            # rotate past
-            return last, end + c + ahead + 1, max(hold_end, anchor + (last + 2 * ahead + 4) * rl)
-        return last, end + c, hold_end
-
     def _advance_lead(self, slot):
         """Step to the next locked round, or hand over to catch and echo."""
-        last, listen, hold_end = self._plan
+        _, last, listen, hold_end = self._plan
         if self._vround < last:
             self._vround += 1
-            self.next_wake = self._anchor + self._vround * self.round_len
+            self.next_wake = self._anchor + self._vround * (self.cycle + 1)
             return
         # the echo ends at hold_end: its last wake is within a cycle of it
         self._until = hold_end - self.cycle

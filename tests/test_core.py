@@ -10,7 +10,8 @@ from icroute.core import (
     NodePlacement,
     Scenario,
 )
-from icroute.forwarding import CachedPolicy, ForwardNode
+from icroute.forwarding import CachedPolicy, ForwardNode, run_forwarding
+from icroute.topology import build_topology
 
 
 def test_cycle_counts_work_slot():
@@ -51,6 +52,23 @@ def test_scenario_positions_include_sink():
     assert pos[0] == (1.0, 0.0)
     assert pos[1] == (2.0, 0.0)
     assert sc.offsets() == {0: 0, 1: 1}
+
+
+@pytest.mark.parametrize("phase", ["mapping", "forwarding"])
+@pytest.mark.parametrize("ids", [(0, SINK), (0, 0)], ids=["sink-id", "shared-id"])
+def test_clashing_node_ids_are_refused(ids, phase):
+    # a node under the sink's id would be overwritten by the sink's
+    # entry, and two nodes under one id would run as one; every run reads
+    # `positions()` (through `neighbors()`), so each refuses the field
+    nodes = [NodePlacement(nid, 8.0 * (i + 1), 0.0, i + 1)
+             for i, nid in enumerate(ids)]
+    sc = Scenario(ChargingSpec(2), nodes, sink_xy=(0.0, 0.0), range_m=10.0,
+                  seed=5)
+    with pytest.raises(ValueError, match="node ids must be distinct"):
+        if phase == "mapping":
+            build_topology(sc)
+        else:
+            run_forwarding(sc, {nid: 1 for nid in ids})
 
 
 def test_disk_grid_near_is_boundary_inclusive_and_take_removes():

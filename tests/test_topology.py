@@ -6,8 +6,8 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from icroute.core import (ChargingSpec, DiskGrid, HopFrame, NO_HOP, NodePlacement,
-                          SINK, Scenario)
+from icroute.core import (AckFrame, ChargingSpec, DiskGrid, HopFrame, NO_HOP,
+                          NodePlacement, SINK, Scenario)
 from icroute.engine import park_deadline
 from icroute.radio import COLLISION, EventTrace, derive_rng_stream
 from icroute.topology import (
@@ -16,6 +16,11 @@ from icroute.topology import (
     TopoSink,
     bfs_hops,
     build_topology,
+    join_round,
+    lead_plan,
+    plan_calls,
+    relay_anchor,
+    relay_rounds,
     verify_least_hop,
 )
 
@@ -157,73 +162,102 @@ def test_sink_transmits_one_round_per_slot():
     assert sink.next_wake is None and sink.listen_offset is None
 
 
-def _bare_node(t=5):
-    sc = line_scenario(1, t=t)
-    return TopoNode(0, 0, sc.spec, sc.seed)
+SCHEDULE_T = range(1, 11)
+
+
+def drive(spec, heard):
+    """Drive one `TopoNode` wake by wake, as the engine would, until its
+    lead passes and echoes are over (it enters `bcast`).
+
+    `heard` maps slots to what the node hears there: a `HopFrame` in
+    the data phase of a slot it listens in, and a `HopFrame` or an
+    `AckFrame` for it in the ack phase of a slot it sends in.  The node
+    starts parked at the offset of the first of those slots, and must
+    hear every one.  Returns its frames (slot -> frame) and the set of
+    slots it listens in from the first one on.
+    """
+    c = spec.cycle
+    heard = dict(heard)
+    last = min(heard) - c  # the slot of its last finish
+    node = TopoNode(1, min(heard) % c, spec, seed=0)
+    sent, listens = {}, set()
+    while node.state != "bcast":
+        at = node.next_wake
+        if node.listen_offset is not None:
+            # parked: it listens at its offset from a cycle after its
+            # last finish, and is finished at its deadline or where it
+            # hears something
+            first = last + c + (node.listen_offset - last - c) % c
+            cue = min((s for s in heard if s >= first and s % c == first % c),
+                      default=at)
+            at = cue if at is None else min(at, cue)
+            listens.update(range(first, at, c))
+        frame = node.poll(at) if at == node.next_wake else None
+        if frame is not None:
+            sent[at] = frame
+            if at in heard:
+                node.on_ack(at, heard.pop(at))
+        else:
+            listens.add(at)
+            if at in heard:
+                node.on_data(at, heard.pop(at))
+        node.finish(at)
+        last = at
+    assert not heard, heard  # it heard every frame
+    return sent, listens
+
+
+def acker_schedule(spec, ack_slot, round_no):
+    """Transmit slots and listen slots of a node that acked, at
+    `ack_slot`, a frame stamped `round_no`, through its lead pass and
+    echo."""
+    sent, listens = drive(spec, {ack_slot: HopFrame(0, 1, round_no)})
+    return list(sent), listens
 
 
 def test_relay_anchor_is_a_round_past_half_a_pass():
     # t=5: rounds of 7 slots, relay 3 + 1 = 4 rounds.  Round 1 heard at
     # slot 100 puts the sender's anchor at 93 and the relay at 121, moved
     # up to our working offset (100 % 6 == 4): 124
-    node = _bare_node(t=5)
-    node.hop, node.next_hop = 3, 7
-    node._enter_lead(100, round_no=1)
-    assert node._anchor == 124 and node._vround == 0
-    assert node.state == "lead_wait"
-    # parked at our offset until the first slot there within two cycles
-    # of the anchor
-    assert node.listen_offset == 4
-    assert node.next_wake == 118
+    assert relay_rounds(5) == 4
+    assert relay_anchor(5, 100, 1) == 124
+    assert join_round(5, 124, 100) == 0
+    assert lead_plan(5, 124, 100)[:2] == (0, 5)
+    # the node listens at its offset up to the last slot there two
+    # cycles before the anchor, then transmits round 0 at the anchor
+    sent, listens = acker_schedule(ChargingSpec(5), 100, 1)
+    assert sent[0] == 124
+    assert {s for s in listens if s < 124} == {100, 106, 112, 118}
 
 
 def test_relay_late_joiner_starts_at_the_first_round_ahead():
     # round 5 heard at slot 100: relay 65 + 28 = 93, anchor 94; rounds 0
     # and 1 (slots 94, 101) are not a cycle ahead, so the pass joins at
     # round 2, slot 108, one offset on per round
-    node = _bare_node(t=5)
-    node.hop, node.next_hop = 3, 7
-    node._enter_lead(100, round_no=5)
-    assert node._anchor == 94 and node._vround == 2
-    assert node.state == "lead" and node.next_wake == 108
-    assert node.poll(108).round_no == 2
+    assert relay_anchor(5, 100, 5) == 94
+    assert join_round(5, 94, 100) == 2
+    assert lead_plan(5, 94, 100)[:2] == (2, 7)
+    sent, _ = drive(ChargingSpec(5), {100: HopFrame(0, 1, 5)})
+    assert list(sent)[:2] == [108, 115]
+    assert sent[108].round_no == 2
 
 
 def test_stale_acker_is_visited_before_its_first_transmission():
-    # t=5: node 9 acked our stale hop in locked round 0 at slot 100, so it
-    # anchors 4 rounds on (128), moved up to its offset (100 % 6 == 4):
-    # its first transmission is at 130.  Improved at slot 101, we send it
-    # our new hop at that offset a cycle on, at 112, before it transmits;
-    # our own anchor is at 131, so the frame is stamped (112 - 131) // 7
-    node = _bare_node(t=5)
-    node.hop, node.next_hop = 2, 7
-    node._acked = {9: (100, 0)}
-    assert node._plan_calls(101) == [(112, True)]
-    node._enter_lead(101, round_no=0)
-    assert node.state == "lead_wait" and node.next_wake == 112
-    assert node.poll(112) == HopFrame(0, 2, -3)
-
-
-SCHEDULE_T = range(1, 11)
-
-
-def acker_schedule(spec, ack_slot, round_no):
-    """Lead pass of a node that acked a frame stamped `round_no` at `ack_slot`.
-
-    The node is driven as the engine would, wake by wake, until its lead
-    pass is over.  Returns its transmit slots and its `_lead_plan` (last
-    round, listen slot, hold end).
-    """
-    acker = TopoNode(1, ack_slot % spec.cycle, spec, seed=0)
-    assert acker.on_data(ack_slot, HopFrame(0, 1, round_no)) is not None
-    acker.finish(ack_slot)
-    sent = []
-    while acker.state in ("lead_wait", "lead"):
-        slot = acker.next_wake
-        if acker.poll(slot) is not None:
-            sent.append(slot)
-        acker.finish(slot)
-    return sent, acker._plan
+    # t=5: we anchor at 100 on a round-0 frame heard at 70, and node 9
+    # acks our round 0 there.  It anchors 4 rounds on (128), moved up to
+    # its offset (100 % 6 == 4): its first transmission is at 130.  A
+    # struggler reply in the ack phase of our round 1 (slot 107)
+    # improves us; we send node 9 our new hop at its offset a cycle on,
+    # at 118, before it transmits.  Our new anchor is at 137, so the
+    # frame is stamped (118 - 137) // 7
+    spec = ChargingSpec(5)
+    assert plan_calls(5, [(100, 0)], 107) == [(118, True)]
+    sent, _ = drive(spec, {70: HopFrame(7, 2, 0), 100: AckFrame(9, 1),
+                           107: HopFrame(8, 1, 0)})
+    assert list(sent)[:3] == [100, 107, 118]
+    assert sent[118] == HopFrame(1, 2, -3)
+    acker_sent, acker_listens = acker_schedule(spec, 100, 0)
+    assert acker_sent[0] == 130 and 118 in acker_listens
 
 
 def test_lead_pass_rounds_land_on_every_offset_once():
@@ -245,28 +279,114 @@ def test_calls_on_a_stale_acker_land_where_it_listens_or_sends():
         spec = ChargingSpec(t)
         c = spec.cycle
         pass_len = c * (c + 1)
-        node = TopoNode(0, 0, spec, seed=0)
         for ack_slot in range(3 * c * c, 3 * c * c + c):
             for round_no in range(-2, 2 * t + 4):
-                sent, (_, listen, hold_end) = acker_schedule(spec, ack_slot, round_no)
+                sent, listens = acker_schedule(spec, ack_slot, round_no)
                 transmits = set(sent)
-                node._acked = {1: (ack_slot, round_no)}
                 for slot in range(ack_slot + 1, ack_slot + 3 * pass_len + 1):
                     prev = slot
-                    for at, sends in node._plan_calls(slot):
+                    for at, sends in plan_calls(t, [(ack_slot, round_no)], slot):
                         where = (t, ack_slot, round_no, slot, at, sends)
                         assert at >= prev + c, where
                         prev = at
                         if not sends:
                             assert at in transmits, where
                             kinds["listen-in"] += 1
-                        elif at < sent[0] and at % c == ack_slot % c:
-                            kinds["before"] += 1
                         else:
-                            assert listen <= at < hold_end, where
-                            assert at % c == listen % c, where
-                            kinds["echo"] += 1
+                            assert at in listens, where
+                            kinds["before" if at < sent[0] else "echo"] += 1
     assert all(kinds.values()), kinds
+
+
+def test_an_on_time_pass_reaches_a_neighbor_that_heard_a_worse_hop_first():
+    # the module docstring's relay claim.  A node anchors at A and runs
+    # its pass on time, at A + v rounds for v = 0..t.  Another node hears
+    # round v of a pass anchored at A too (a later one only delays it),
+    # so it anchors a relay after A.  A neighbor of ours first hears that
+    # node's worse hop, in any slot before our pass ends, stamped with
+    # its locked rounds since its anchor.  Driven wake by wake, the
+    # neighbor is still listening at its offset, before it transmits,
+    # when our pass gets there
+    for t in SCHEDULE_T:
+        spec = ChargingSpec(t)
+        c, rl = t + 1, t + 2
+        ours = [3 * c * rl + v * rl for v in range(c)]
+        reach = {x % c: x for x in ours}
+        for v, heard in enumerate(ours):
+            sent, _ = drive(spec, {heard: HopFrame(0, 1, v)})
+            first = min(sent)
+            worse = first - sent[first].round_no * rl  # its anchor
+            for s in range(heard + 1, ours[-1]):
+                sent, listens = drive(spec, {s: HopFrame(1, 2, (s - worse) // rl)})
+                x = reach[s % c]
+                assert x <= s or x in listens and x < min(sent), (t, v, s)
+
+
+def reaches(acker, call):
+    """Whether a call lands where the acker (transmit and listen slots)
+    listens, for a sending call, or sends, for a listen-in."""
+    sent, listens = acker
+    at, sends = call
+    return at in listens if sends else at in sent
+
+
+def test_calls_on_two_ackers_are_a_cycle_apart_and_land_on_each():
+    # two ackers of one lead pass, anchored at A, acked our rounds v1 <=
+    # v2 at A + v rounds.  For every improvement slot up to two passes
+    # after the later ack, each call comes a cycle or more after the one
+    # before and lands on an acker of its own
+    both = 0
+    for t in SCHEDULE_T:
+        spec = ChargingSpec(t)
+        c, rl = t + 1, t + 2
+        anchor = 3 * c * rl
+        rounds = range(2 * t + 4)
+        ackers = {}
+        for v in rounds:
+            sent, listens = acker_schedule(spec, anchor + v * rl, v)
+            ackers[v] = (set(sent), listens)
+        for v2 in rounds:
+            for v1 in range(v2 + 1):
+                acked = [(anchor + v1 * rl, v1), (anchor + v2 * rl, v2)]
+                later = anchor + v2 * rl
+                for slot in range(later + 1, later + 2 * c * rl + 1):
+                    calls = plan_calls(t, acked, slot)
+                    where = (t, v1, v2, slot, calls)
+                    prev = slot
+                    for at, _ in calls:
+                        assert at >= prev + c, where
+                        prev = at
+                    assert any(all(map(reaches, (ackers[v] for v in order), calls))
+                               for order in ((v1, v2), (v2, v1))), where
+                    both += len(calls) == 2
+    assert both
+
+
+def test_an_acker_calls_its_own_stale_ackers_before_it_joins():
+    # t=1: a node hears round 2 at slot 12, so it anchors at 12 and joins
+    # at round 1: it sends at 15 and 18, and node 9 acks at 15.  In its
+    # echo, at 20, it hears a better hop stamped round 2: its new anchor
+    # is 20, and it would join at round 1 (23), but it first listens in
+    # on node 9's pass at 22, so it joins at round 2 and sends at 26, 29
+    assert plan_calls(1, [(15, 1)], 20) == [(22, False)]
+    sent, listens = drive(ChargingSpec(1), {
+        12: HopFrame(5, 3, 2), 15: AckFrame(9, 1), 20: HopFrame(6, 2, 2)})
+    assert sorted(sent) == [15, 18, 26, 29]
+    assert {20, 22} <= listens
+
+
+@pytest.mark.xfail(strict=True, reason="plan_calls predicts an acker's join "
+                   "round from its ack slot; an acker that first calls stale "
+                   "ackers of its own joins later (ROADMAP item 2, step 3)")
+def test_calls_reach_an_acker_that_first_calls_its_own_ackers():
+    # the acker of the test above, which acked our frame at 20: improved
+    # at 21, we predict it joins at round 1 and listen in at 23, where it
+    # sends nothing.  Measured on map_sweep seeds 41-43 and busy_relay
+    # 41-42, 3 of 417 predictions of a join round were early this way
+    acker = drive(ChargingSpec(1), {
+        12: HopFrame(5, 3, 2), 15: AckFrame(9, 1), 20: HopFrame(6, 2, 2)})
+    calls = plan_calls(1, [(20, 2)], 21)
+    assert calls and all(reaches(acker, call) for call in calls)
 
 
 def test_single_neighbor_learns_hop_during_sink_pass():
