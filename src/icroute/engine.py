@@ -8,18 +8,28 @@ Each processed slot has two contention phases: a data phase where awake
 nodes may transmit one frame, and an ack phase where nodes that decoded a
 data frame may answer.  `resolve_slot` arbitrates each phase over the
 disk graph `Scenario.neighbors()`, built once per run, for one listener
-list per slot: the sink, then every scheduled node and every node parked
-at the slot's offset, in node-id order.  Transmitters stay on that list;
-half duplex is `resolve_slot`'s rule that a node decodes nothing in a
-phase it sent in, so a data transmitter can still hear the ack phase of
-the same slot.  The list may be long, since every node parked at the
-offset is on it, but a listener that no transmitter reaches costs
+set per slot: the sink, every scheduled node and every node parked at
+the slot's offset.  Transmitters stay in that set; half duplex is
+`resolve_slot`'s rule that a node decodes nothing in a phase it sent
+in, so a data transmitter can still hear the ack phase of the same
+slot.  The set may be large, since every node parked at the
+offset is in it, but a listener that no transmitter reaches costs
 `resolve_slot` one set test, and the engine looks for parked listeners
 to finish only when the data phase decoded something (or collided):
 an ack phase follows only a data decode, so a slot whose data phase
 nobody heard touched nobody.  A slot whose one frame no listener is in
-range of (charging ones included) builds no list at all: the radio is
+range of (charging ones included) builds no set at all: the radio is
 still called once for its data phase, with no listeners.
+
+A slot's nodes run in no set order, and no result depends on one.  In a
+slot, `poll`, `on_data`, `on_ack` and `finish` touch only the node's own
+state, apart from the sink (with a caller's `Countdown`), which decodes
+at most one frame a phase, and stateless shared policies.  Each node
+draws its jitter from its own stream, `resolve_slot`'s rule does not
+depend on the order of the frames, and every id `_file` puts in one
+offset's charging entry in a slot shares one missed slot.  The only
+thing the order could reach is the order of trace events, and
+`EventTrace` sorts those itself.
 
 Node behaviors are plain objects with:
     next_wake          absolute slot of the next working slot, or None
@@ -61,8 +71,8 @@ and takes its bucket whole.  That `next_wake` is the only record of a
 deadline: an id in a bucket is live only while its `next_wake` equals
 the bucket's slot, and a live node is polled and finished.  A one-id
 bucket, the common case, is run as it is if its id is live; a bucket
-of more than one id is sorted, deduplicated and filtered, so the
-slot's nodes run in id order and once each.
+of more than one id is deduplicated and filtered, so each of the
+slot's nodes runs once.
 
 A behavior that only listens parks instead of waking every cycle: it
 sets `listen_offset` to the offset of its working slots and `next_wake`
@@ -198,7 +208,7 @@ class Engine:
                 if behaviors[awake[0]].next_wake != slot:
                     continue
             else:
-                awake = [nid for nid in sorted(set(awake))
+                awake = [nid for nid in set(awake)
                          if behaviors[nid].next_wake == slot]
                 if not awake:
                     continue
@@ -290,19 +300,16 @@ class Engine:
                 self._file(awake, slot)
                 return
 
-        # the listeners: the sink, then the scheduled nodes and the ones
-        # parked at the slot's offset, less those still charging, in
-        # node-id order
+        # the listeners: the ones parked at the slot's offset, less those
+        # still charging, the scheduled nodes and the sink
         charging = self._charging[at]
         if charging is not None and charging[0] == slot:
             parked = parked - charging[1]
-        listeners = sorted(parked.union(awake)) if parked else awake
-        if listeners[0] != SINK:
-            listeners = [SINK, *listeners]
+        listeners = parked.union(awake)
+        listeners.add(SINK)
         decode_a = resolve_slot(tx_a, listeners, self.neighbors)
 
-        # the decode dicts hold only listeners that heard something, in
-        # listener order
+        # the decode dicts hold only listeners that heard something
         tx_b = []
         for nid, got in decode_a.items():
             if got is COLLISION:
@@ -331,11 +338,11 @@ class Engine:
 
         if parked and decode_a:
             # a parked listener that decoded a frame or heard a collision is
-            # finished in this slot too, in id order (SINK is never parked);
-            # an ack phase follows only a data decode, so a slot whose data
-            # phase decoded nothing touched nobody
+            # finished in this slot too (SINK is never parked); an ack phase
+            # follows only a data decode, so a slot whose data phase decoded
+            # nothing touched nobody
             heard = decode_a.keys() | decode_b.keys()
-            touched = sorted((heard & parked).difference(awake))
+            touched = (heard & parked).difference(awake)
             if touched:
-                awake = awake + touched
+                awake = [*awake, *touched]
         self._file(awake, slot)

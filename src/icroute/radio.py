@@ -25,9 +25,9 @@ def resolve_slot(transmissions, listeners, neighbors):
     transmissions: list of (frame, jitter) with frame.src identifying the
     transmitter.  listeners: iterable of node ids.  neighbors: the disk
     graph, node id -> ids in range (`Scenario.neighbors()`); a listener
-    hears only the transmitters in its set.  Returns a dict, in listener
-    order, that maps each listener that heard something to the frame it
-    decoded or to COLLISION; a listener missing from it heard nothing.
+    hears only the transmitters in its set.  Returns a dict that maps each
+    listener that heard something to the frame it decoded or to
+    COLLISION; a listener missing from it heard nothing.
     This is the one half-duplex rule: transmitters may be listed too, and
     a node that transmitted in this phase hears nothing in it.
 
@@ -88,14 +88,36 @@ class TraceEvent:
     detail: dict = field(default_factory=dict)
 
 
+# the phase of a slot each event kind belongs to: 0 the frames sent, 1 the
+# data phase's decodes and replies, 2 the ack phase's decodes
+_PHASES = {"tx": 0, "rx": 1, "txr": 1, "data": 1, "rxa": 2, "ack": 2}
+
+
+def _event_order(e):
+    kind = e.kind
+    phase = _PHASES[e.detail["phase"] if kind == "collision" else kind]
+    return e.slot, phase, e.node
+
+
 class EventTrace:
-    """Optional per-run event log, serialized as NDJSON."""
+    """Optional per-run event log, serialized as NDJSON.
+
+    The trace, not the engine, orders events: `events` and `ndjson()` give
+    them in a stable sort by (slot, phase, node).  Phase 0 holds `tx`;
+    phase 1 `rx`, `txr` and a data-phase `collision`; phase 2 `rxa` and
+    an ack-phase `collision`.  A node's events in one phase keep the
+    order they were added in, so its `rx` comes before its `txr`.
+    """
 
     def __init__(self):
-        self.events: list[TraceEvent] = []
+        self._events: list[TraceEvent] = []
 
     def add(self, slot, node, kind, **detail):
-        self.events.append(TraceEvent(slot, node, kind, detail))
+        self._events.append(TraceEvent(slot, node, kind, detail))
+
+    @property
+    def events(self) -> list[TraceEvent]:
+        return sorted(self._events, key=_event_order)
 
     def ndjson(self) -> str:
         """One JSON object per event and line, keys sorted."""

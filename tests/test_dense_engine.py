@@ -5,10 +5,13 @@
 slot up to the horizon, or until no node is scheduled to wake, and reads
 who is awake and who listens from the behaviors themselves.  Mapping and forwarding, run under each engine on
 small drawn fields with and without deaths, must give the same
-`RunResult`, the same trace NDJSON and the same exported bytes.
+`RunResult`, the same trace NDJSON and the same exported bytes, whether
+the reference visits a slot's nodes in ascending or descending id
+order, and each trace must pass the replay check (`tests/replay.py`).
 """
 
 import dataclasses
+import functools
 import json
 import os
 import tempfile
@@ -24,17 +27,20 @@ from icroute.engine import Engine, RunResult
 from icroute.experiments import ExperimentConfig, generate_scenario, run_experiment
 from icroute.radio import (COLLISION, MICRO_SLOTS, EventTrace, derive_rng_stream,
                            resolve_slot)
+from replay import breaches
 
 
 class DenseEngine:
     """The engine contract, slot by slot: in each slot the awake nodes are
     those whose `next_wake` is the slot, and the listeners are the sink,
     the awake nodes and every node whose `listen_offset` is the slot's
-    offset and that was last finished at least a cycle ago, in id
-    order."""
+    offset and that was last finished at least a cycle ago, in ascending
+    id order, or in descending order if `descending`."""
 
-    def __init__(self, scenario, behaviors, sink, trace=None):
-        self.nodes = dict(sorted({**behaviors, SINK: sink}.items()))
+    def __init__(self, scenario, behaviors, sink, trace=None, descending=False):
+        self.descending = descending
+        self.nodes = dict(sorted({**behaviors, SINK: sink}.items(),
+                                 reverse=descending))
         self.trace = trace
         self.neighbors = scenario.neighbors()
         self.cycle = scenario.spec.cycle
@@ -82,7 +88,7 @@ class DenseEngine:
         heard = set()
         if sent:
             res.frames_sent += len(sent)
-            listeners = sorted({SINK, *awake, *parked})
+            listeners = sorted({SINK, *awake, *parked}, reverse=self.descending)
             replies = []
             for phase in ("data", "ack"):
                 got_by = resolve_slot(sent, listeners, self.neighbors)
@@ -134,9 +140,9 @@ coords = st.integers(0, 18).map(float)
 @given(points=st.lists(st.tuples(coords, coords), min_size=1, max_size=10),
        t=st.integers(1, 4), seed=st.integers(0, 2**31 - 1),
        strategy=st.sampled_from(STRATEGIES), dying=st.booleans(),
-       data=st.data())
+       descending=st.booleans(), data=st.data())
 def test_engine_matches_the_dense_reference(points, t, seed, strategy, dying,
-                                            data):
+                                            descending, data):
     n = len(points)
     offsets = data.draw(st.lists(st.integers(0, t), min_size=n, max_size=n))
     deaths = data.draw(st.dictionaries(
@@ -151,11 +157,15 @@ def test_engine_matches_the_dense_reference(points, t, seed, strategy, dying,
     with tempfile.TemporaryDirectory() as one, \
             tempfile.TemporaryDirectory() as two:
         fast = run_under(Engine, scenario, cfg, one)
-        dense = run_under(DenseEngine, scenario, cfg, two)
+        dense = run_under(functools.partial(DenseEngine, descending=descending),
+                          scenario, cfg, two)
     assert fast[0] == dense[0]  # TopoResult, RunResult included
     assert fast[1] == dense[1]  # mapping trace NDJSON
     assert fast[2] == dense[2]  # ForwardResult, RunResult included
     assert fast[3] == dense[3]  # every exported byte, forwarding trace too
+    forwarding_trace = fast[3][os.path.join(cfg.label(), "trace.ndjson")]
+    assert breaches(fast[1], scenario) == []
+    assert breaches(forwarding_trace.decode(), scenario) == []
 
 
 def test_benchmark_hooks_see_each_processed_slot_and_each_phase_once():
@@ -173,7 +183,7 @@ def test_benchmark_hooks_see_each_processed_slot_and_each_phase_once():
         engine, slot, awake, behaviors, res = args
         assert isinstance(engine, Engine) and isinstance(res, RunResult)
         assert behaviors is engine._all
-        steps.append((slot, list(awake)))
+        steps.append((slot, sorted(awake)))
         return step(*args)
 
     def counted_dense_step(engine, slot, awake, res):

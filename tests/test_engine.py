@@ -402,7 +402,7 @@ def radio_run(nodes, behaviors, sink, horizon):
     calls = []
 
     def counted(tx, listeners, neighbors):
-        calls.append(([f.src for f, _ in tx], list(listeners)))
+        calls.append(([f.src for f, _ in tx], sorted(listeners)))
         return resolve_slot(tx, listeners, neighbors)
 
     engine = Engine(line_field(*nodes), behaviors, sink)

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 from hypothesis import given, settings, strategies as st
@@ -7,6 +8,7 @@ from icroute.core import ChargingSpec, HopFrame, NodePlacement, SINK, Scenario
 from icroute.radio import (
     COLLISION,
     MICRO_SLOTS,
+    EventTrace,
     derive_rng_stream,
     resolve_slot,
 )
@@ -188,3 +190,31 @@ def test_jitter_stream_is_roughly_uniform():
         counts[rng.randrange(MICRO_SLOTS)] += 1
     _, p = stats.chisquare(counts)
     assert p > 0.001
+
+
+def test_trace_orders_events_by_slot_phase_and_node():
+    # added out of order: a later slot first, then an ack-phase collision
+    # before a data-phase rx before a tx, higher ids first, and node 4's
+    # txr right after its rx
+    added = [
+        (9, 2, "tx", {"frame": "HopFrame"}),
+        (7, 5, "collision", {"phase": "ack"}),
+        (7, 4, "rx", {"frame": "HopFrame", "src": 1}),
+        (7, 4, "txr", {"frame": "AckFrame"}),
+        (7, 3, "tx", {"frame": "HopFrame"}),
+        (7, 2, "collision", {"phase": "data"}),
+        (7, 1, "rxa", {"frame": "AckFrame", "src": 4}),
+        (7, 1, "tx", {"frame": "HopFrame"}),
+        (7, SINK, "rx", {"frame": "HopFrame", "src": 3}),
+    ]
+    trace = EventTrace()
+    for slot, node, kind, detail in added:
+        trace.add(slot, node, kind, **detail)
+    # the engine's order: each slot's frames sent, then each listener's
+    # data-phase events, then its ack-phase events, each in id order
+    want = [added[i] for i in (7, 4, 8, 5, 2, 3, 6, 1, 0)]
+    assert [(e.slot, e.node, e.kind, e.detail) for e in trace.events] == want
+    assert trace.ndjson() == "".join(
+        json.dumps({"slot": slot, "node": node, "kind": kind, **detail},
+                   sort_keys=True) + "\n"
+        for slot, node, kind, detail in want)

@@ -10,7 +10,8 @@ must also enter the sender role only while unlocked: the batch lock
 alone decides when a receiver leaves.  A `TopoNode` in `bcast`,
 `cooldown` or `verify` must never be polled before its `_until`: it
 parks through its listen-only stretches and wakes only to transmit or
-to move on.
+to move on.  Each mapping and forwarding trace of the sweep must pass
+the replay check (`tests/replay.py`).
 """
 
 import random
@@ -23,7 +24,9 @@ from icroute.baselines import STRATEGIES, build_policies
 from icroute.core import NO_HOP
 from icroute.experiments import ExperimentConfig, generate_scenario
 from icroute.forwarding import ForwardNode, run_forwarding
+from icroute.radio import EventTrace
 from icroute.topology import TopoNode, build_topology
+from replay import breaches
 
 # any state may also stay as it is, and a TopoNode that improves its hop
 # may move from anywhere into `lead_wait` or (at once) `lead`
@@ -120,11 +123,15 @@ def test_every_state_move_is_in_the_table(moves, dying):
     for seed, (shape, t) in enumerate(FIELDS):
         scenario = field(shape, t, seed, dying)
         phase[0] = "topology"
-        topo = build_topology(scenario)
+        trace = EventTrace()
+        topo = build_topology(scenario, trace=trace)
+        assert breaches(trace.ndjson(), scenario) == []
         for strategy in STRATEGIES:
             phase[0] = strategy
-            run_forwarding(scenario, topo.hops, rounds=2,
+            trace = EventTrace()
+            run_forwarding(scenario, topo.hops, rounds=2, trace=trace,
                            policies=build_policies(strategy, scenario, topo))
+            assert breaches(trace.ndjson(), scenario) == [], strategy
     assert seen.pop("topology") == TOPO_MOVES
     for strategy in STRATEGIES:
         want = FORWARD_MOVES | (CACHED_MOVES if strategy in CACHING else set())
