@@ -12,10 +12,10 @@ is printed per (class, state, outcome):
     CLASS STATE tx|listen WAKES SHARE
 
 STATE is the node's state when it is polled; a forwarding receiver
-reads `recv-locked` while it is locked to a sender and `recv-held`
-while it sits out a failure.  `tx` means the poll returned a frame, and
-SHARE is the line's share of its class's wakes.  Then one line per
-phase (`mapping`, `forwarding`) and one for both:
+reads `recv-locked` while it is locked to a sender.  `tx` means the
+poll returned a frame, and SHARE is the line's share of its class's
+wakes.  Then one line per phase (`mapping`, `forwarding`) and one for
+both:
 
     steps PHASE STEPS idle IDLE idle_frac FRAC unheard UNHEARD unheard_frac FRAC
 
@@ -51,13 +51,10 @@ HEARING = (*POLLED, ForwardSink)  # every behavior with an `on_data`
 PHASES = ("mapping", "forwarding")
 
 
-def state_of(node, slot):
+def state_of(node):
     state = getattr(node, "state", "sink")
-    if state == "recv":
-        if node.id_match is not None:
-            return "recv-locked"
-        if slot < node._hold_until:
-            return "recv-held"
+    if state == "recv" and node.id_match is not None:
+        return "recv-locked"
     return state
 
 
@@ -71,7 +68,7 @@ def census(cells):
 
     def counted_poll(poll, name):
         def wrapped(node, slot):
-            state = state_of(node, slot)
+            state = state_of(node)
             frame = poll(node, slot)
             wakes[name, state, "listen" if frame is None else "tx"] += 1
             return frame

@@ -1,9 +1,9 @@
 """Alternative next-hop selection strategies for comparison runs.
 
-Each strategy is the three members `ForwardNode` reads (see
-`forwarding`): `scan_target`, `failure_wait` and the `realign` flag.
-The default (`rics`) scans once, caches the matched offset, and backs
-off on failure.  The alternatives trade that cache away in different
+Each strategy is the two members `ForwardNode` reads (see
+`forwarding`): `scan_target` and the `realign` flag.  The default
+(`rics`) scans once, caches the matched offset, and rescans at once
+after a failure.  The alternatives trade that cache away in different
 directions:
 
 - `fxcs` keeps a fixed next hop from the topology stage but never keeps
@@ -12,8 +12,7 @@ directions:
   from the known lower-hop neighbors each time.
 - `otps` caches like the default but aims its scans at one designated
   neighbor first, falling back to whoever answers only after a whole
-  attempt window comes back empty; on a dead next hop it rescans at
-  once instead of sitting out the recovery wait.
+  attempt window comes back empty or a matched next hop fails.
 
 A node the topology stage gives nobody (no next hop for `fxcs` and
 `otps`, no lower-hop neighbor for `rncs`) scans for whoever answers, as
@@ -31,8 +30,7 @@ class FixedHopPolicy(CachedPolicy):
     """Realign toward one permanent next hop for every message.
 
     A realigning node rescans after every acked frame, so a matched
-    session never sends and its next hop never fails: the inherited
-    failure wait is never read."""
+    session never sends and its next hop never fails."""
 
     realign = True
 
@@ -62,8 +60,7 @@ class OpportunisticPolicy(CachedPolicy):
     Scans are directed at the node handed over by the topology stage;
     once the node has had a full attempt window with no answer, or a
     failure, it goes opportunistic and accepts the first acking
-    neighbor.  Failures skip the recovery wait and probe again
-    immediately.
+    neighbor, as the default does from the start.
     """
 
     def __init__(self, designated: int | None):
@@ -73,9 +70,6 @@ class OpportunisticPolicy(CachedPolicy):
         if node.exhausted or node.failures:
             return None
         return self.designated
-
-    def failure_wait(self, node):
-        return 0
 
 
 def lower_hop_neighbors(nid: int, topo) -> list:

@@ -24,23 +24,20 @@ keeps two candidate relays from both adopting the same traffic: the
 loser notices the sender naming the other node and quietly discards its
 copy.  The lock alone decides when a receiver leaves.  A lock ends
 with its batch's closing frame, or once its sender stays silent for
-more than a cycle of wakes.  A receiver that is unlocked and past its
-failure hold is free: with a message queued it takes the sender role,
-and idle with every reading made it parks at its base offset (see
-`engine`), where it listens and never wakes on its own.  A frame it
-hears finishes it in that slot, which may make it a sender.  A matched
-next hop that stops acking for a full cycle of attempts is treated as
-failed, and the sender sits out the strategy's failure wait as a
-receiver.  That hold gates only contention: the node still takes
-batches in it, and a silent lock times out in it as anywhere else.
+more than a cycle of wakes.  An unlocked receiver with a message queued
+takes the sender role, and one idle with every reading made parks at
+its base offset (see `engine`), where it listens and never wakes on its
+own.  A frame it hears finishes it in that slot, which may make it a
+sender.  A matched next hop that stops acking for a full cycle of
+attempts is treated as failed: the sender forgets it, swings back to
+its base offset and, with messages queued, scans afresh from there.
 
-A strategy is three members the node reads: `scan_target(node)` names
-whom a fresh scan courts (None: the first acking node downstream),
-`failure_wait(node)` how long a failed sender sits out, and the class
-flag `realign`.  A caching strategy (`CachedPolicy` here) keeps its
-match across messages and batches; a realigning one (the baselines in
-`baselines`) forgets it after every acked frame and rescans from where
-it stands, and forgets it again at batch end.
+A strategy is two members the node reads: `scan_target(node)` names
+whom a fresh scan courts (None: the first acking node downstream), and
+the class flag `realign`.  A caching strategy (`CachedPolicy` here)
+keeps its match across messages and batches; a realigning one (the
+baselines in `baselines`) forgets it after every acked frame and
+rescans from where it stands, and forgets it again at batch end.
 """
 
 from __future__ import annotations
@@ -78,26 +75,13 @@ def message_slot(offset: int, seq: int, spec: ChargingSpec) -> int:
     return offset + seq * spec.cycle
 
 
-def failure_recovery_wait(spec: ChargingSpec) -> int:
-    """Slots a sender sits out after its matched next hop goes silent.
-
-    Long enough for the dead node's own upstream traffic to drain (a full
-    queue, one message per cycle) or time out (one more cycle) before the
-    survivor rejoins the contention.
-    """
-    return (QUEUE_CAP + 1) * spec.cycle
-
-
 class CachedPolicy:
-    """Default strategy: scan once, cache the match, sit out failures."""
+    """Default strategy: scan once, cache the match, rescan on failure."""
 
     realign = False  # one sync carries every later message and batch
 
     def scan_target(self, node):
         return None  # opportunistic: first acking node downstream wins
-
-    def failure_wait(self, node):
-        return failure_recovery_wait(node.spec)
 
 
 @dataclass
@@ -160,7 +144,7 @@ class ForwardNode:
         "id", "base", "spec", "cycle", "policy", "hop", "rounds", "state",
         "next_wake", "listen_offset",
         "queue", "next_hop", "offset_forth", "scan_target", "_batch_acked",
-        "_in_flight", "_got_ack", "_misses", "_hold_until",
+        "_in_flight", "_got_ack", "_misses",
         "id_match", "time_wait", "seen",
         "generated",
         "scan_attempt_slots", "match_slots", "dropped_full", "stale_breaks",
@@ -187,7 +171,6 @@ class ForwardNode:
         self._in_flight = None
         self._got_ack = False
         self._misses = 0  # unacked frames since the last ack or sender entry
-        self._hold_until = 0  # a failed sender contends again from this slot
         # receiver side
         self.id_match = None
         self.time_wait = 0
@@ -332,8 +315,8 @@ class ForwardNode:
                 # locked sender went quiet mid-batch: move what we have
                 self.id_match = None
                 self.forced_exits += 1
-        if self.id_match is not None or slot < self._hold_until:
-            # locked, or sitting out a failed next hop: listen next cycle
+        if self.id_match is not None:
+            # locked: listen next cycle
             self.next_wake = slot + self.cycle
         elif self.queue:
             self._enter_sender(slot)
@@ -409,7 +392,6 @@ class ForwardNode:
         self.failures += 1
         self.state = "recv"
         self.next_wake = self._wake_at_base(slot)
-        self._hold_until = slot + self.policy.failure_wait(self)
         self.clear_match()
 
     def clear_match(self):

@@ -182,8 +182,9 @@ def join_round(t, anchor, start):
 def lead_plan(t, anchor, start):
     """Schedule of a lead pass anchored at `anchor` by a node that
     listens until `start`: the round it joins at (`join_round`), the last
-    locked round transmitted, the first slot of the listen that follows,
-    and the slot that listen ends.
+    locked round transmitted, the first slot of the listen that follows
+    (a cycle or more, and less than two, after that round's slot), and
+    the slot that listen ends.
 
     A late joiner's neighbor that heard a same-level node first anchors
     two relays after the joiner's anchor, and may rotate at most `ahead`
@@ -360,7 +361,7 @@ class TopoNode:
         elif self.state == "lead_wait":
             self._advance_lead_wait(slot)
         elif self.state == "lead":
-            self._advance_lead(slot)
+            self._advance_lead()
         elif self.state == "bcast":
             self._advance_pass(slot)
         elif self.state == "lead_hold":
@@ -437,7 +438,7 @@ class TopoNode:
             self._pass_no += 1
             self._cur_ackers = False
 
-    def _advance_lead(self, slot):
+    def _advance_lead(self):
         """Step to the next locked round, or hand over to catch and echo."""
         _, last, listen, hold_end = self._plan
         if self._vround < last:
@@ -447,13 +448,10 @@ class TopoNode:
         # the echo ends at hold_end: its last wake is within a cycle of it
         self._until = hold_end - self.cycle
         self.state = "lead_hold"
-        if listen < slot + 2 * self.cycle:
-            # the first listen is the first slot at its offset a cycle
-            # from now (and before `_until`: the echo runs a pass): park
-            # there from this slot
-            self._listen(listen, self._until)
-        else:
-            self.next_wake = listen
+        # the first listen is the first slot at its offset a cycle from
+        # now (`lead_plan`), and before `_until` (the echo runs a pass):
+        # park there from this slot
+        self._listen(listen, self._until)
 
     def _enter_bcast(self, slot):
         """Start a retry or farewell pass (see the module docstring) from a

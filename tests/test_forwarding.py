@@ -31,7 +31,6 @@ from icroute.forwarding import (
     CachedPolicy,
     ForwardNode,
     ForwardSink,
-    failure_recovery_wait,
     run_forwarding,
     swing_back,
 )
@@ -101,13 +100,6 @@ def test_swing_forth_then_back_is_identity():
 def test_swing_rejects_bad_inputs():
     with pytest.raises(ValueError):
         swing_back(-1, make_spec(5))
-
-
-def test_failure_recovery_wait_values(monkeypatch):
-    assert failure_recovery_wait(make_spec(50)) == 867
-    # read at call time: one queued message plus one cycle
-    monkeypatch.setattr(forwarding, "QUEUE_CAP", 1)
-    assert failure_recovery_wait(make_spec(50)) == 102
 
 
 # -- sender state machine, bench-driven ------------------------------------
@@ -218,25 +210,22 @@ def test_generation_during_send_reopens_batch_after_closed_one():
     assert all(f.is_start and f.is_end for _, f in sent)
 
 
-def test_matched_failure_holds_then_rescans(monkeypatch):
-    t = 5
-    monkeypatch.setattr(forwarding, "QUEUE_CAP", 3)  # hold (3 + 1) cycles
-    node = make_node(t=t, rounds=2)
+def test_matched_failure_rescans_from_base():
+    node = make_node(t=5, rounds=2)
     sent = drive(node, until=9, ack_slots={9})
     assert node.matched
     # next hop dies: six straight misses trip the failure at slot 45
     sent = drive(node, until=45)
     assert [s for s, _ in sent] == [15, 21, 27, 33, 39, 45]
     assert node.failures == 1
-    wait = failure_recovery_wait(node.spec)
-    assert wait == 24
-    assert node.state == "recv" and node._hold_until == 45 + wait
-    assert not node.matched
-    # silent for the whole hold, then the scan starts over from base
-    sent = drive(node, until=45 + wait + 40)
-    assert sent and sent[0][0] == 81
-    assert sent[0][0] in node.scan_attempt_slots
-    assert sent[0][0] % 6 == 3  # base 2 plus one, a fresh first attempt
+    assert node.state == "recv" and not node.matched
+    # it swings back and listens at base 2 a cycle on, at 56, and scans
+    # afresh from there: its first attempt is one slot past base
+    assert node.next_wake == 56
+    assert drive(node, until=56) == [] and node.state == "scan"
+    sent = drive(node, until=63)
+    assert [s for s, _ in sent] == [63]
+    assert node.scan_attempt_slots[-1] == 63 and 63 % 6 == 3
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
@@ -620,68 +609,6 @@ def test_silent_locked_sender_forces_exit_after_full_cycle():
     assert node.forced_exits == 1
     assert node.state == "scan"
     assert node.id_match is None
-
-
-def failed_sender():
-    """A node at offset 2, t=5, whose matched next hop went silent: the
-    failure trips at slot 45, and it listens on base (56, 62, ...) until
-    its hold ends at slot 147."""
-    node = make_node(rounds=2)
-    drive(node, until=9, ack_slots={9})
-    drive(node, until=45)
-    assert node.failures == 1 and node.state == "recv"
-    assert node._hold_until == 45 + failure_recovery_wait(node.spec) == 147
-    assert node.next_wake == 56
-    return node
-
-
-def listen_through(node, until, frames):
-    """Wake a receiver up to `until`, hearing frames[slot] before it
-    finishes that slot; every frame must be acked."""
-    while node.next_wake <= until:
-        slot = node.next_wake
-        assert node.poll(slot) is None
-        if slot in frames:
-            assert isinstance(node.on_data(slot, frames[slot]), AckFrame)
-        node.finish(slot)
-
-
-def test_held_receiver_stays_locked_to_a_second_sender_past_its_hold():
-    # inside the hold, sender 7 hands over a whole batch and unlocks us;
-    # then sender 8 locks us.  When the hold ends the lock, not the
-    # finished batch, decides: we stay a receiver for 8.
-    node = failed_sender()
-    listen_through(node, 146, {
-        56: data_frame(src=7, seq=0, is_start=True),
-        62: data_frame(src=7, seq=1, dst=1, is_end=True),
-        146: data_frame(src=8, origin=8, is_start=True, path=(8,)),
-    })
-    listen_through(node, 152, {})  # first wake past the hold
-    assert node.state == "recv" and node.id_match == 8
-    assert node.next_wake == 158
-    # 8's closing frame is acked and unlocks us, so we take the role
-    listen_through(node, 158, {
-        158: data_frame(src=8, origin=8, seq=1, dst=1, is_end=True, path=(8,))})
-    assert node.id_match is None and node.state == "scan"
-    # our seq 0 was acked at slot 9; seq 1 waited out the failure
-    assert [(m.origin, m.seq) for m in node.queue] == [
-        (1, 1), (7, 0), (7, 1), (8, 0), (8, 1)]
-
-
-def test_silent_lock_taken_in_a_hold_is_forced_out_inside_it():
-    # sender 7 locks us at wake 56 and says no more: that wake and the
-    # next t+1 count the lock clock up past a cycle, so the lock is
-    # forced out at wake 56 + 6 * 6 = 92, long before the hold ends
-    node = failed_sender()
-    listen_through(node, 86, {56: data_frame(src=7, is_start=True)})
-    assert node.id_match == 7 and node.forced_exits == 0
-    listen_through(node, 92, {})
-    assert node.id_match is None and node.forced_exits == 1
-    # still held: listen every cycle until the hold ends, then send
-    listen_through(node, 146, {})
-    assert node.state == "recv" and node.next_wake == 152
-    listen_through(node, 152, {})
-    assert node.state == "scan"
 
 
 # -- end-to-end runs -------------------------------------------------------

@@ -48,9 +48,9 @@ GOLDEN = {
     ("square", 50, 5, 1): {
         "topology/trace.ndjson": "cfe6929b5838d92687af75638ae6ef974aa97c0dde1bcfa5299db5516afa5e61",
         "topology.json": "17bbcfbed014f70cfb06ea71bab21d107b1b45a1d04ecd27cef0511926ff7435",
-        "rics/messages.csv": "674d6cde40c58b4bf2ba4183da7dfef902ef1fcd61cab60556c79da98d10db3e",
-        "rics/summary.json": "abd81cc8e0046db1e451d1e8b7a15d730fa15f371d3d196cdde0a0d057aa4ae0",
-        "rics/trace.ndjson": "e8b8f5b6238b712c3122697a8beaa22f96f2f85a83da179e29c6c496037048e5",
+        "rics/messages.csv": "3d45c2e08ff2a1dc1dd377dd9754bd4e181455dd1383b1d793ed0a1a8197ebf8",
+        "rics/summary.json": "1a3afd1ed7c834d0423cc733bb2be5d3836631987f1fc949d81774dffac68c0c",
+        "rics/trace.ndjson": "78782b3f79779f46364a9c5273c55fb5a5eeb77d47ec69a3c0459d773a8cb52e",
         "fxcs/messages.csv": "b84b9230a8d4dafdc3631e20381c5eed1ab13873d7bb2ba91795d9fbee454d94",
         "fxcs/summary.json": "7c7e048e9770ee00b05bde297305b75a78e783ec0e6a0ffe33f7497eb0517330",
         "rncs/messages.csv": "a5884b707dae754603fa47652684c7339e981d8e925fc7131d68c63ec01bfa4a",
@@ -74,9 +74,9 @@ GOLDEN = {
     ("rectangle", 50, 5, 1): {
         "topology/trace.ndjson": "07e296d670c028cbabacf4671bef7a9836d5ed9d4a1cf8f9f6fb3f57b01dc459",
         "topology.json": "5892b258cbd058b3d067a4dc34413c3bfa2f76bd5b55de33e43c22d770fff44c",
-        "rics/messages.csv": "e452829db04774413189d0f77f8c4c02b9fd9278bbaa68be46a84ebd8545335d",
-        "rics/summary.json": "9bdfb0c06c485a79b6c1c8cc0319baf3c070fb02e99342f22c878d8de3117eac",
-        "rics/trace.ndjson": "0c287f01b52674b631813f4565bd0408b2a987911d0daefe7d885d81927510d2",
+        "rics/messages.csv": "f9ef140f7a7aca9767047c2f3d9df7f9ad7a65399a7f7e65419a04739d4e6fb0",
+        "rics/summary.json": "c2238e2425787cfbb631365ac8662a600dc99e62d4b218d26620edba2a2085c6",
+        "rics/trace.ndjson": "e9bb3a64f8a4ec40d1b07057de1db28d6eba0b56b67a83ab17bf9b8809f89022",
         "fxcs/messages.csv": "cd982c4379c044177f907d7845db98e6f94edb00ed0bab8f85494ca2535aab25",
         "fxcs/summary.json": "008946375a39c7b82cf5a377c28448d50c8f1726e4dfc6f5d7ebf3148188f44b",
         "rncs/messages.csv": "28f38f8da6839310a3fb5f846a04b9f4dbd4900af6ac216509bbef7f1bdfa3fc",
@@ -100,9 +100,9 @@ GOLDEN = {
     ("square", 100, 5, 1): {
         "topology/trace.ndjson": "f08c6f6da6fe6af7ce3b3545226067e027652f8196b8563b1ab6c0c2a2db23c1",
         "topology.json": "f67bb542f6bbc2867a6c7ad8c7ef3e17a88094079217126dc6ddbfcf5b7666ba",
-        "rics/messages.csv": "d58071d63e16fc8df29caca0bd968603bb4ea25b945c7079994dfb9a56ab6b57",
-        "rics/summary.json": "f762557e81354cfba7b736252fb89e6070c3f988f161c74472b3f415aafee7ea",
-        "rics/trace.ndjson": "72e51713954e35bb46bd713d37f15bb17ab0a82b4f7eea171953f06cef46d6b7",
+        "rics/messages.csv": "32135069e8dd04aca48344c477e7f7994b082f435fcd4f9582952ac7acaf828c",
+        "rics/summary.json": "f84983439e04da6c97ea27132542e9f511e3513e6a42ad2629c0958b9ea6e0a1",
+        "rics/trace.ndjson": "7e3996a58b62338198f9c716cc45f9639422c97c45a9dc3e52786e1f8ea27bee",
         "fxcs/messages.csv": "12ee23cad8d3512bafeeeaad6cdc0a0beed37cbc73375c6cb4efafc67acf69f7",
         "fxcs/summary.json": "c401524eb341ab511cf1a4127c0fde27edb18c01dd0dafba8d098ab1a9e40e88",
         "rncs/messages.csv": "16de0b83bfc65926770c4a36bf13a5d99246256cc7af0cd2af8372795ac629fe",
@@ -139,9 +139,9 @@ GOLDEN = {
     ("rectangle", 100, 5, 1): {
         "topology/trace.ndjson": "05fd6a408dfa56e22ce72e20ae496271dc42a98855740913d4d0c9b19ab0184d",
         "topology.json": "36e5091b641f022dd3d9b0df4ce2611162ffd84bb9f7e39cba4f61ce3d8b92ca",
-        "rics/messages.csv": "a8b1b0093ba78b6a64f19e47a829cb226c4e7dd41d81f62ceec7b2110e55dfe2",
-        "rics/summary.json": "e1ec9fff3dfe070d4b18c2f3652d9c416c8cc99493d7b011cfe72543f2176eb1",
-        "rics/trace.ndjson": "59075f37ca27df5f0bcbcb7ef294b13f4a7fa77aa6af73315a1cc27f8f953631",
+        "rics/messages.csv": "b3dbc7221683c854be28714da635cb274de8c2f1f2dd6a3d0af2ec93c61fa324",
+        "rics/summary.json": "51ac0af988e72de23506cdeda6b755302bf1817847c57fc7f287f96bd7836e46",
+        "rics/trace.ndjson": "ddf3c714df3b840599f1be50a8ce82e1786f94220303248adc4d114ec15f3990",
         "fxcs/messages.csv": "50691621ae58bbd03ce6411584f8196a298c01dcf8bb4284133ab2d459a8bcb1",
         "fxcs/summary.json": "8e91a855fcfb53159963079e32866f6738795775aa1d749e6fcc21c0b8ad6a9d",
         "rncs/messages.csv": "0bf516efeab6108144840cf00ee0a650d9afbecb70b647041380224d21073795",
@@ -165,9 +165,9 @@ GOLDEN = {
     ("square", 100, 5, 10): {
         "topology/trace.ndjson": "f08c6f6da6fe6af7ce3b3545226067e027652f8196b8563b1ab6c0c2a2db23c1",
         "topology.json": "f67bb542f6bbc2867a6c7ad8c7ef3e17a88094079217126dc6ddbfcf5b7666ba",
-        "rics/messages.csv": "1e294c96a55e83a6717a9c43b5891cbfb90b61cdf8685c084317dd8058a2e39c",
-        "rics/summary.json": "041a92ea013f861299dfb1300d9e3935a7fe2ad50c2a17c9743df4352a6f8190",
-        "rics/trace.ndjson": "83397150851a0dd064a4ce90347c40fc3d0d2e8d2a117ac06fd9c3e30be817b1",
+        "rics/messages.csv": "0ee482e2593e93dd17c3d65c26c867f38b4b0ada02b175dd1902725a56bda619",
+        "rics/summary.json": "b87c07f21d7125b158395a303f0435fd60f43898b1e4216d67b24d187514d0a5",
+        "rics/trace.ndjson": "b58789d0a092b69c51b937ca81ddad50517805501373a62e0d6ae31e7d0c327c",
         "fxcs/messages.csv": "ab8d434b935187e96ecb6f6bccab4d9cb477a2e7f05b64b2115b0ce895f3a074",
         "fxcs/summary.json": "1e2ff2a8cbc4af57190954a137054472870914ec0450c4cb6658abc1a220ca21",
         "rncs/messages.csv": "f2020e7738658a419b3fce3fa8a5ebe467837256fb2fe2d502ff2fec47d94825",
@@ -312,7 +312,7 @@ def test_dying_relay_mapping_converges():
     # node 3, the chain's leaf, dies holding readings it never sends: the
     # delivery countdown never reaches zero, but the survivors park with
     # nothing left to send, and the run ends there
-    pytest.param({3: 150}, (137, 120), {"rics": 866, "otps": 688},
+    pytest.param({3: 150}, (137, 120), {"rics": 688, "otps": 688},
                  id="leaf-dies"),
     # node 2, node 3's only next hop, dies: node 3 keeps scanning toward
     # it with readings queued, so the run still reaches the horizon

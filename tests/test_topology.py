@@ -271,6 +271,21 @@ def test_lead_pass_rounds_land_on_every_offset_once():
                 assert all(b - a == c + 1 for a, b in zip(sent, sent[1:]))
 
 
+def test_lead_plan_listens_in_the_second_cycle_after_its_last_round():
+    # pure arithmetic, so every join round up to four passes late and t
+    # up to 200: the listen that follows a pass's last locked round comes
+    # a cycle or more, and less than two, after that round's slot, and
+    # before the echo's last wake, so `TopoNode` parks there at once
+    for t in range(1, 201):
+        c, rl = t + 1, t + 2
+        anchor = 10 * c * rl
+        for v0 in range(4 * c + 1):
+            joined, last, listen, hold_end = lead_plan(t, anchor, anchor + v0 * rl - c)
+            end = anchor + last * rl
+            assert joined == v0, (t, v0)
+            assert end + c <= listen < min(end + 2 * c, hold_end - c), (t, v0)
+
+
 def test_calls_on_a_stale_acker_land_where_it_listens_or_sends():
     # one acker of our stale hop, over every ack slot in a cycle, every
     # stamped round and every improvement slot up to three passes later

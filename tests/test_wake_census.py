@@ -71,15 +71,14 @@ def test_transmit_wakes_are_the_frames_sent_and_steps_add_up(monkeypatch, capsys
     assert capsys.readouterr().out.splitlines() == lines
 
 
-def test_receiver_states_name_the_lock_and_the_hold():
+def test_receiver_states_name_the_lock():
     class Node:
-        state, id_match, _hold_until = "recv", None, 10
+        state, id_match = "recv", None
 
     node = Node()
-    assert wake_census.state_of(node, 10) == "recv"
-    assert wake_census.state_of(node, 9) == "recv-held"
+    assert wake_census.state_of(node) == "recv"
     node.id_match = 4
-    assert wake_census.state_of(node, 9) == "recv-locked"
+    assert wake_census.state_of(node) == "recv-locked"
     node.state = "scan"
-    assert wake_census.state_of(node, 9) == "scan"
-    assert wake_census.state_of(object(), 0) == "sink"
+    assert wake_census.state_of(node) == "scan"
+    assert wake_census.state_of(object()) == "sink"
