@@ -27,9 +27,9 @@ state, apart from the sink (with a caller's `Countdown`), which decodes
 at most one frame a phase, and stateless shared policies.  Each node
 draws its jitter from its own stream, `resolve_slot`'s rule does not
 depend on the order of the frames, and every id `_file` puts in one
-offset's charging entry in a slot shares one missed slot.  The only
-thing the order could reach is the order of trace events, and
-`EventTrace` sorts those itself.
+offset's charging entry in a slot shares one missed slot.  The engine
+builds no trace events: it hands each traced slot with a frame sent to
+`EventTrace.record` whole, and the trace orders its events by id.
 
 Node behaviors are plain objects with:
     next_wake          absolute slot of the next working slot, or None
@@ -281,8 +281,6 @@ class Engine:
             frame = behaviors[nid].poll(slot)
             if frame is not None:
                 tx_a.append((frame, self._draw_jitter(nid)))
-                if trace:
-                    trace.add(slot, nid, "tx", frame=type(frame).__name__)
         if not tx_a:
             # nothing on the air: listening changes no state
             self._file(awake, slot)
@@ -297,6 +295,8 @@ class Engine:
             if (SINK not in near and near.isdisjoint(awake)
                     and near.isdisjoint(parked)):
                 resolve_slot(tx_a, (), self.neighbors)
+                if trace:
+                    trace.record(slot, tx_a)
                 self._file(awake, slot)
                 return
 
@@ -314,15 +314,9 @@ class Engine:
         for nid, got in decode_a.items():
             if got is COLLISION:
                 res.data_collisions += 1
-                if trace:
-                    trace.add(slot, nid, "collision", phase="data")
-            elif trace:
-                trace.add(slot, nid, "rx", frame=type(got).__name__, src=got.src)
             resp = behaviors[nid].on_data(slot, got)
             if resp is not None:
                 tx_b.append((resp, self._draw_jitter(nid)))
-                if trace:
-                    trace.add(slot, nid, "txr", frame=type(resp).__name__)
 
         decode_b = {}
         if tx_b:
@@ -330,11 +324,9 @@ class Engine:
             for nid, got in decode_b.items():
                 if got is COLLISION:
                     res.ack_collisions += 1
-                    if trace:
-                        trace.add(slot, nid, "collision", phase="ack")
-                elif trace:
-                    trace.add(slot, nid, "rxa", frame=type(got).__name__, src=got.src)
                 behaviors[nid].on_ack(slot, got)
+        if trace:
+            trace.record(slot, tx_a, decode_a, tx_b, decode_b)
 
         if parked and decode_a:
             # a parked listener that decoded a frame or heard a collision is

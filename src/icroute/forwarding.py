@@ -320,12 +320,10 @@ class ForwardNode:
             self.next_wake = slot + self.cycle
         elif self.queue:
             self._enter_sender(slot)
-        elif self.generated == self.rounds:
+        else:
             # idle with every reading made: listen at base, never wake
             self.listen_offset = self.base
             self.next_wake = None
-        else:
-            self.next_wake = slot + self.cycle
 
     def _enter_sender(self, slot):
         if not self.matched:

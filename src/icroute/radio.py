@@ -1,4 +1,5 @@
-"""Sub-slot jitter arbitration over the disk graph, and seeded RNG streams.
+"""Sub-slot jitter arbitration over the disk graph, seeded RNG streams,
+and the NDJSON event trace.
 
 Who hears whom is fixed by `Scenario.neighbors()`, the unit disk graph
 of a deployment; this module only reads it.  Every transmission in a
@@ -6,6 +7,9 @@ slot carries a jitter drawn from [0, MICRO_SLOTS).  An awake listener
 decodes the frame of its neighbor with the strictly smallest jitter; a
 shared minimum destroys all of them for that listener.  The rule is a
 pure function of its inputs, which keeps whole runs reproducible.
+
+`EventTrace` alone names, orders and writes trace events; the engine
+hands it each slot whole.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass, field
 
 COLLISION = object()  # decode result marker: energy heard, nothing decoded
 MICRO_SLOTS = 16  # jitter values a transmission draws from
@@ -80,49 +83,54 @@ def derive_rng_stream(seed: int, node: int, purpose: str) -> random.Random:
     return random.Random(_mix64(seed, node, purpose))
 
 
-@dataclass
-class TraceEvent:
-    slot: int
-    node: int
-    kind: str
-    detail: dict = field(default_factory=dict)
+_ENCODE = json.JSONEncoder(sort_keys=True).encode  # json.dumps builds one per call
 
 
-# the phase of a slot each event kind belongs to: 0 the frames sent, 1 the
-# data phase's decodes and replies, 2 the ack phase's decodes
-_PHASES = {"tx": 0, "rx": 1, "txr": 1, "data": 1, "rxa": 2, "ack": 2}
-
-
-def _event_order(e):
-    kind = e.kind
-    phase = _PHASES[e.detail["phase"] if kind == "collision" else kind]
-    return e.slot, phase, e.node
+def _heard(slot, nid, got, kind, phase):
+    """The event of a listener that decoded `got` (`kind`, with the
+    frame's type and sender) or heard a collision in `phase`."""
+    if got is COLLISION:
+        return {"slot": slot, "node": nid, "kind": "collision", "phase": phase}
+    return {"slot": slot, "node": nid, "kind": kind,
+            "frame": type(got).__name__, "src": got.src}
 
 
 class EventTrace:
     """Optional per-run event log, serialized as NDJSON.
 
-    The trace, not the engine, orders events: `events` and `ndjson()` give
-    them in a stable sort by (slot, phase, node).  Phase 0 holds `tx`;
-    phase 1 `rx`, `txr` and a data-phase `collision`; phase 2 `rxa` and
-    an ack-phase `collision`.  A node's events in one phase keep the
-    order they were added in, so its `rx` comes before its `txr`.
+    The engine hands each slot in which something was sent to `record`
+    whole, and this class alone names, orders and writes the events.
+    A slot's events come in three phases: first each `tx`, by sender id;
+    then, for each data-phase listener in id order, its `rx` or data
+    `collision`, followed by its `txr` if it replied; then each `rxa` or
+    ack `collision`, in id order.  A run records its slots in increasing
+    order, and every caller keeps one trace per run, so no sort across
+    slots is needed.
     """
 
     def __init__(self):
-        self._events: list[TraceEvent] = []
+        self._slots = []  # (slot, tx_a, decode_a, tx_b, decode_b), in order
 
-    def add(self, slot, node, kind, **detail):
-        self._events.append(TraceEvent(slot, node, kind, detail))
+    def record(self, slot, tx_a, decode_a=(), tx_b=(), decode_b=()):
+        """Keep one slot: its data phase's (frame, jitter) transmissions
+        and its decodes (listener -> frame or COLLISION), then the ack
+        phase's; a slot whose data phase nobody heard passes `tx_a` only."""
+        self._slots.append((slot, tx_a, decode_a, tx_b, decode_b))
 
-    @property
-    def events(self) -> list[TraceEvent]:
-        return sorted(self._events, key=_event_order)
+    def _events(self):
+        for slot, tx_a, decode_a, tx_b, decode_b in self._slots:
+            for frame in sorted((f for f, _ in tx_a), key=lambda f: f.src):
+                yield {"slot": slot, "node": frame.src, "kind": "tx",
+                       "frame": type(frame).__name__}
+            replies = {f.src: f for f, _ in tx_b}
+            for nid in sorted(decode_a):
+                yield _heard(slot, nid, decode_a[nid], "rx", "data")
+                if nid in replies:
+                    yield {"slot": slot, "node": nid, "kind": "txr",
+                           "frame": type(replies[nid]).__name__}
+            for nid in sorted(decode_b):
+                yield _heard(slot, nid, decode_b[nid], "rxa", "ack")
 
     def ndjson(self) -> str:
         """One JSON object per event and line, keys sorted."""
-        return "".join(
-            json.dumps({"slot": e.slot, "node": e.node, "kind": e.kind, **e.detail},
-                       sort_keys=True) + "\n"
-            for e in self.events
-        )
+        return "".join(_ENCODE(e) + "\n" for e in self._events())

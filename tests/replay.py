@@ -25,15 +25,20 @@ from icroute.core import SINK
 SENT_IN = {"rx": "tx", "data": "tx", "rxa": "txr", "ack": "txr"}
 
 
+def events(ndjson: str) -> list[dict]:
+    """The events of a trace's NDJSON, one dict per line."""
+    return [json.loads(line) for line in ndjson.splitlines()]
+
+
 def breaches(ndjson: str, scenario) -> list[str]:
     """Every breach of the three rules in `ndjson`, one line each."""
-    events = [json.loads(line) for line in ndjson.splitlines()]
     pos = scenario.positions()
-    sent = {(e["slot"], e["kind"], e["node"]) for e in events
+    seen = events(ndjson)
+    sent = {(e["slot"], e["kind"], e["node"]) for e in seen
             if e["kind"] in ("tx", "txr")}
     found = []
     slots = defaultdict(set)  # node -> the slots it has events in
-    for e in events:
+    for e in seen:
         slot, node, kind = e["slot"], e["node"], e["kind"]
         slots[node].add(slot)
         if kind in ("tx", "txr"):

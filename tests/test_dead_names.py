@@ -7,7 +7,8 @@ re-exports), by `perfbench/` or by `scripts/`.  `scripts/line_coverage.py`
 finds code that no test runs; this finds code that only its tests run.
 Likewise every attribute the package sets on `self` must be read there,
 and every `__slots__` entry must be set.  The alignment reference math
-lives in `tests/alignment.py`, which imports only `icroute.core`.
+lives in `tests/alignment.py`, which imports only `icroute.core`, and
+trace events are named in `radio.py` alone.
 """
 
 import ast
@@ -86,3 +87,16 @@ def test_no_write_only_state():
              for elt in n.value.elts}
     assert slots, "no __slots__ found"
     assert sorted(slots - {n.attr for n in stored}) == [], "slot never set"
+
+
+# the kinds of trace event, which `radio.EventTrace` alone names
+EVENT_KINDS = {"tx", "rx", "txr", "rxa", "collision"}
+
+
+def test_only_the_trace_names_event_kinds():
+    named = sorted(f"{path.name}:{node.lineno} {node.value}"
+                   for path in sorted(PACKAGE.glob("*.py")) if path.name != "radio.py"
+                   for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                   and node.value in EVENT_KINDS)
+    assert named == []

@@ -12,7 +12,6 @@ order, and each trace must pass the replay check (`tests/replay.py`).
 
 import dataclasses
 import functools
-import json
 import os
 import tempfile
 from unittest import mock
@@ -73,14 +72,12 @@ class DenseEngine:
         return res
 
     def step(self, slot, awake, res):
-        nodes, trace = self.nodes, self.trace
+        nodes = self.nodes
         sent = []
         for nid in awake:
             frame = nodes[nid].poll(slot)
             if frame is not None:
                 sent.append((frame, self.jitter[nid].randrange(MICRO_SLOTS)))
-                if trace:
-                    trace.add(slot, nid, "tx", frame=type(frame).__name__)
         charged = slot - self.cycle
         parked = [n for n, b in nodes.items()
                   if b.listen_offset == slot % self.cycle and n not in awake
@@ -90,29 +87,26 @@ class DenseEngine:
             res.frames_sent += len(sent)
             listeners = sorted({SINK, *awake, *parked}, reverse=self.descending)
             replies = []
+            phases = []  # each phase run: its transmissions, then its decodes
             for phase in ("data", "ack"):
                 got_by = resolve_slot(sent, listeners, self.neighbors)
+                phases += sent, got_by
                 heard.update(got_by)
                 for nid, got in got_by.items():
                     if got is COLLISION:
                         name = f"{phase}_collisions"
                         setattr(res, name, getattr(res, name) + 1)
-                        if trace:
-                            trace.add(slot, nid, "collision", phase=phase)
-                    elif trace:
-                        trace.add(slot, nid, "rx" if phase == "data" else "rxa",
-                                  frame=type(got).__name__, src=got.src)
                     if phase == "ack":
                         nodes[nid].on_ack(slot, got)
                         continue
                     reply = nodes[nid].on_data(slot, got)
                     if reply is not None:
                         replies.append((reply, self.jitter[nid].randrange(MICRO_SLOTS)))
-                        if trace:
-                            trace.add(slot, nid, "txr", frame=type(reply).__name__)
                 if not replies:
                     break
                 sent = replies
+            if self.trace:
+                self.trace.record(slot, *phases)
         for nid in awake + [n for n in parked if n in heard]:
             nodes[nid].finish(slot)
             self.finished[nid] = slot
@@ -175,7 +169,7 @@ def test_benchmark_hooks_see_each_processed_slot_and_each_phase_once():
     # res), and one resolve_slot call per phase with something on the air
     cfg = ExperimentConfig(n_nodes=30, t=5, rounds=2, seed=4)
     scenario = dataclasses.replace(generate_scenario(cfg), deaths={7: 400})
-    steps, dense_steps, resolves = [], [], []
+    steps, dense_steps, resolves, dense_resolves = [], [], [], []
     step, dense_step = Engine._step, DenseEngine.step
 
     def counted_step(*args):
@@ -190,24 +184,23 @@ def test_benchmark_hooks_see_each_processed_slot_and_each_phase_once():
         dense_steps.append((slot, list(awake)))
         return dense_step(engine, slot, awake, res)
 
-    def counted_resolve(*args):
-        resolves.append(args)
-        return resolve_slot(*args)
+    def counted(calls, resolve=resolve_slot):
+        def counted_resolve(*args):
+            calls.append(args)
+            return resolve(*args)
+        return counted_resolve
 
     with tempfile.TemporaryDirectory() as out:
         with mock.patch.object(Engine, "_step", counted_step), \
-                mock.patch.object(engine_module, "resolve_slot", counted_resolve):
-            topo, mapping, fwd, files = run_under(Engine, scenario, cfg, out)
-        with mock.patch.object(DenseEngine, "step", counted_dense_step):
-            assert run_under(DenseEngine, scenario, cfg, out)[:3] == (
-                topo, mapping, fwd)
+                mock.patch.object(engine_module, "resolve_slot", counted(resolves)):
+            ran = run_under(Engine, scenario, cfg, out)[:3]
+        with mock.patch.object(DenseEngine, "step", counted_dense_step), \
+                mock.patch.dict(globals(), resolve_slot=counted(dense_resolves)):
+            assert run_under(DenseEngine, scenario, cfg, out)[:3] == ran
     # the processed slots are the dense engine's slots with a node awake
     assert steps and steps == dense_steps
-    forwarding_trace = files[os.path.join(cfg.label(), "trace.ndjson")].decode()
-    phases = 0
-    for ndjson in (mapping, forwarding_trace):
-        events = [json.loads(line) for line in ndjson.splitlines()]
-        phases += len({e["slot"] for e in events if e["kind"] == "tx"})
-        phases += len({e["slot"] for e in events if e["kind"] == "txr"})
+    # the dense engine resolves each phase with something on the air once,
+    # so the engine's calls send what the dense engine's send
     assert all(len(args) == 3 for args in resolves)
-    assert len(resolves) == phases
+    assert resolves and [sorted(f.src for f, _ in args[0]) for args in resolves] \
+        == [sorted(f.src for f, _ in args[0]) for args in dense_resolves]

@@ -22,6 +22,7 @@ from icroute.engine import Countdown, Engine, park_deadline
 from icroute.forwarding import CachedPolicy, ForwardNode, ForwardSink, run_forwarding
 from icroute.radio import (COLLISION, MICRO_SLOTS, EventTrace, derive_rng_stream,
                            resolve_slot)
+from replay import events
 
 
 def line_field(*nodes, deaths=None):
@@ -130,11 +131,12 @@ def test_unscheduled_sink_listens_first():
     assert res.converged and res.last_slot == 7
     assert [(d.origin, d.delivered_at) for d in sink.deliveries] == [(1, 7)]
     assert listener.heard == [(7, frame)]
-    events = [(e.node, e.kind) for e in trace.events if e.slot == 7]
+    got = [(e["node"], e["kind"]) for e in events(trace.ndjson())
+           if e["slot"] == 7]
     # the sink is the first listener of the data phase; both nodes hear
     # its ack
-    assert events == [(1, "tx"), (SINK, "rx"), (SINK, "txr"), (2, "rx"),
-                      (1, "rxa"), (2, "rxa")]
+    assert got == [(1, "tx"), (SINK, "rx"), (SINK, "txr"), (2, "rx"),
+                   (1, "rxa"), (2, "rxa")]
 
 
 def test_jitter_draws_are_randrange_draws():
@@ -190,8 +192,9 @@ def test_half_duplex_holds_per_phase():
         jitter = {nid: derive_rng_stream(seed, nid, "jitter").randrange(MICRO_SLOTS)
                   for nid in answers}
         assert all(b.acks == [] for b in answers.values())
-        got = [(e.node, e.kind, e.detail.get("src")) for e in trace.events
-               if e.kind in ("rxa", "collision")]
+        got = [(e["node"], e["kind"], e.get("src"))
+               for e in events(trace.ndjson())
+               if e["kind"] in ("rxa", "collision")]
         if jitter[2] == jitter[3]:
             assert got == [(SINK, "collision", None), (1, "collision", None)]
             assert sender.acks == [(9, COLLISION)]
@@ -518,7 +521,7 @@ def test_parked_and_scheduled_listeners_hear_in_node_id_order():
                  4: Parked(offset=3)}
     trace = EventTrace()
     Engine(sc, behaviors, ForwardSink(Countdown()), trace=trace).run(20)
-    assert [(e.node, e.kind) for e in trace.events] == [
+    assert [(e["node"], e["kind"]) for e in events(trace.ndjson())] == [
         (1, "tx"), (SINK, "rx"), (2, "rx"), (3, "rx"), (4, "rx")]
 
 
@@ -589,7 +592,8 @@ def test_parked_relay_acks_a_scan_and_starts_its_own_in_that_slot():
     assert relay.state == "recv" and relay.listen_offset == 3
     assert relay.next_wake is None and 1 in engine._calendar[3]
     engine.run(21)
-    assert [(e.node, e.kind) for e in trace.events if e.slot == 21] == [
+    assert [(e["node"], e["kind"]) for e in events(trace.ndjson())
+            if e["slot"] == 21] == [
         (2, "tx"), (1, "rx"), (1, "txr"), (SINK, "rxa"), (2, "rxa")]
     assert far.matched and far.next_hop == 1
     assert relay.state == "scan" and relay.next_wake == 21 + 7
@@ -604,7 +608,8 @@ def test_dead_parked_relay_never_acks_after_its_death():
     assert relay.listen_offset == 3
     res = engine.run(200)
     assert not res.converged
-    assert not [e for e in trace.events if e.node == 1 and e.slot >= 15]
+    assert not [e for e in events(trace.ndjson())
+                if e["node"] == 1 and e["slot"] >= 15]
     assert not far.matched
     assert relay.listen_offset is None and relay.next_wake is None
     assert all(1 not in ids for ids in engine._calendar)

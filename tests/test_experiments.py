@@ -26,6 +26,7 @@ from icroute.experiments import (
 )
 from icroute.radio import EventTrace, derive_rng_stream
 from icroute.topology import bfs_hops, build_topology, verify_least_hop
+from replay import events
 
 SMALL = ExperimentConfig(shape="square", n_nodes=50, t=5, rounds=1, seed=11)
 
@@ -340,6 +341,11 @@ def test_drawn_scenarios_map_least_hop_conserve_and_repeat(points, t, seed,
         path = (*d.path, SINK)
         assert all(b in near[a] for a, b in zip(path, path[1:]))
         assert all(want[a] > want.get(b, 0) for a, b in zip(path, path[1:]))
+    if fwd.run.converged:
+        # a run that quiesced made every reading of every node with a hop:
+        # conservation alone cannot see a reading never made
+        assert all(fwd.generated_per_node[n] == cfg.rounds
+                   for n, h in want.items() if h != NO_HOP)
     assert_same_exports(*runs)
 
 
@@ -424,11 +430,45 @@ def test_drawn_deaths_silence_the_dead_conserve_and_repeat(points, t, seed,
 
     (mapping, res), (mapping_again, res_again) = run(), run()
     assert mapping.ndjson() == mapping_again.ndjson()
-    for e in mapping.events + res.trace.events:
-        for nid in (e.node, e.detail.get("src")):
-            assert nid not in deaths or e.slot < deaths[nid], e
+    for e in events(mapping.ndjson() + res.trace.ndjson()):
+        for nid in (e["node"], e.get("src")):
+            assert nid not in deaths or e["slot"] < deaths[nid], e
     fwd = res.forward
     keys = [(d.origin, d.seq) for d in fwd.deliveries]
     assert fwd.created == fwd.delivered + fwd.undelivered
     assert len(keys) == len(set(keys)) == fwd.delivered
     assert_same_exports(res, res_again)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(points=st.lists(st.tuples(coords, coords), min_size=2, max_size=12),
+       t=st.integers(1, 5), seed=st.integers(0, 2**31 - 1),
+       strategy=st.sampled_from(STRATEGIES), dying=st.booleans(),
+       data=st.data())
+def test_node_order_changes_no_result(points, t, seed, strategy, dying, data):
+    # a metamorphic relation (Chen, Cheung & Yiu, *Metamorphic testing*,
+    # 1998): the engine's behavior dict, wake buckets and listener sets
+    # take their order from `Scenario.nodes`, and no result, exported
+    # byte or trace line of either phase may depend on it
+    n = len(points)
+    offsets = data.draw(st.lists(st.integers(0, t), min_size=n, max_size=n))
+    deaths = data.draw(st.dictionaries(
+        st.integers(0, n - 1), st.integers(0, 30 * (t + 1) * (t + 2)),
+        min_size=1)) if dying else {}
+    nodes = [NodePlacement(i, x, y, off)
+             for i, ((x, y), off) in enumerate(zip(points, offsets))]
+    shuffled = data.draw(st.permutations(nodes))
+    cfg = ExperimentConfig(n_nodes=n, t=t, strategy=strategy, rounds=2,
+                           seed=seed)
+
+    def run(order):
+        scenario = Scenario(ChargingSpec(t), order, sink_xy=(0.0, 0.0),
+                            range_m=10.0, seed=seed, deaths=deaths)
+        mapping = EventTrace()
+        topo = build_topology(scenario, trace=mapping)
+        res = run_experiment(cfg, scenario=scenario, topo=topo, trace=True)
+        return res, (topo, mapping.ndjson(), res.forward, res.trace.ndjson())
+
+    (res, seen), (res_shuffled, seen_shuffled) = run(nodes), run(shuffled)
+    assert seen == seen_shuffled
+    assert_same_exports(res, res_shuffled)

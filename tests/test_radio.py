@@ -1,10 +1,9 @@
 import itertools
-import json
 import math
 
 from hypothesis import given, settings, strategies as st
 
-from icroute.core import ChargingSpec, HopFrame, NodePlacement, SINK, Scenario
+from icroute.core import AckFrame, ChargingSpec, HopFrame, NodePlacement, SINK, Scenario
 from icroute.radio import (
     COLLISION,
     MICRO_SLOTS,
@@ -193,28 +192,31 @@ def test_jitter_stream_is_roughly_uniform():
 
 
 def test_trace_orders_events_by_slot_phase_and_node():
-    # added out of order: a later slot first, then an ack-phase collision
-    # before a data-phase rx before a tx, higher ids first, and node 4's
-    # txr right after its rx
-    added = [
-        (9, 2, "tx", {"frame": "HopFrame"}),
-        (7, 5, "collision", {"phase": "ack"}),
-        (7, 4, "rx", {"frame": "HopFrame", "src": 1}),
-        (7, 4, "txr", {"frame": "AckFrame"}),
-        (7, 3, "tx", {"frame": "HopFrame"}),
-        (7, 2, "collision", {"phase": "data"}),
-        (7, 1, "rxa", {"frame": "AckFrame", "src": 4}),
-        (7, 1, "tx", {"frame": "HopFrame"}),
-        (7, SINK, "rx", {"frame": "HopFrame", "src": 3}),
-    ]
+    # slot 7 is handed over with its frames and decodes out of id order:
+    # nodes 3 and 1 send, node 2 hears them collide, the sink and node 5
+    # reply, and in the ack phase node 1 hears those replies collide;
+    # slot 9 is a lone frame that nobody heard
+    hop1, hop3 = frame(1), frame(3)
+    ack5, ack_sink = AckFrame(src=5, ack_dst=1), AckFrame(src=SINK, ack_dst=3)
     trace = EventTrace()
-    for slot, node, kind, detail in added:
-        trace.add(slot, node, kind, **detail)
-    # the engine's order: each slot's frames sent, then each listener's
-    # data-phase events, then its ack-phase events, each in id order
-    want = [added[i] for i in (7, 4, 8, 5, 2, 3, 6, 1, 0)]
-    assert [(e.slot, e.node, e.kind, e.detail) for e in trace.events] == want
-    assert trace.ndjson() == "".join(
-        json.dumps({"slot": slot, "node": node, "kind": kind, **detail},
-                   sort_keys=True) + "\n"
-        for slot, node, kind, detail in want)
+    trace.record(7, [(hop3, 5), (hop1, 2)],
+                 {5: hop1, 4: hop3, 2: COLLISION, SINK: hop3},
+                 [(ack5, 3), (ack_sink, 3)],
+                 {3: ack_sink, 2: ack_sink, 1: COLLISION})
+    trace.record(9, [(frame(2), 0)])
+    # each slot's frames sent, then each data-phase listener's decode and
+    # its reply, then the ack phase's decodes, each in id order
+    assert trace.ndjson().splitlines() == [
+        '{"frame": "HopFrame", "kind": "tx", "node": 1, "slot": 7}',
+        '{"frame": "HopFrame", "kind": "tx", "node": 3, "slot": 7}',
+        '{"frame": "HopFrame", "kind": "rx", "node": -1, "slot": 7, "src": 3}',
+        '{"frame": "AckFrame", "kind": "txr", "node": -1, "slot": 7}',
+        '{"kind": "collision", "node": 2, "phase": "data", "slot": 7}',
+        '{"frame": "HopFrame", "kind": "rx", "node": 4, "slot": 7, "src": 3}',
+        '{"frame": "HopFrame", "kind": "rx", "node": 5, "slot": 7, "src": 1}',
+        '{"frame": "AckFrame", "kind": "txr", "node": 5, "slot": 7}',
+        '{"kind": "collision", "node": 1, "phase": "ack", "slot": 7}',
+        '{"frame": "AckFrame", "kind": "rxa", "node": 2, "slot": 7, "src": -1}',
+        '{"frame": "AckFrame", "kind": "rxa", "node": 3, "slot": 7, "src": -1}',
+        '{"frame": "HopFrame", "kind": "tx", "node": 2, "slot": 9}',
+    ]

@@ -23,6 +23,7 @@ from icroute.topology import (
     relay_rounds,
     verify_least_hop,
 )
+from replay import events
 
 
 def line_scenario(n, spacing=90.0, range_m=100.0, t=5, seed=1, offsets=None):
@@ -419,9 +420,9 @@ def test_broadcast_pass_rotates_through_every_offset():
     sc = line_scenario(2, spacing=90, t=t, offsets=[2, 4])
     trace = EventTrace()
     build_topology(sc, trace=trace)
-    tx = [e for e in trace.events
-          if e.node == 0 and e.kind == "tx" and e.detail["frame"] == "HopFrame"]
-    first_pass = [e.slot for e in tx[: t + 1]]
+    tx = [e for e in events(trace.ndjson())
+          if e["node"] == 0 and e["kind"] == "tx" and e["frame"] == "HopFrame"]
+    first_pass = [e["slot"] for e in tx[: t + 1]]
     diffs = [b - a for a, b in zip(first_pass, first_pass[1:])]
     assert diffs == [t + 2] * t  # one cycle plus the one-slot rotation
     assert first_pass[-1] - first_pass[0] + 1 == (t + 1) ** 2
@@ -550,7 +551,8 @@ def test_isolated_node_transmits_nothing_and_ends_unreachable():
     assert res.hops == {0: 1, 1: NO_HOP}
     assert res.unreachable == {1}
     assert res.converged_at is not None
-    assert [e for e in trace.events if e.node == 1 and e.kind == "tx"] == []
+    assert [e for e in events(trace.ndjson())
+            if e["node"] == 1 and e["kind"] == "tx"] == []
 
 
 @pytest.mark.parametrize("n", [4, 0], ids=["out-of-range", "nodeless"])
